@@ -91,7 +91,10 @@ def _setting(args, cfg: dict, key: str, fallback: int) -> int:
 def _scalar_list(values, as_residue: bool):
     if as_residue:
         return [int(x) for x in values]
-    return [str(x) for x in values]
+    try:
+        return [str(x) for x in values]
+    except ValueError as exc:  # Python's int-to-str digit limit
+        raise SystemExit(f"an exact value is too long to print: {exc}")
 
 
 def _require_prime(p: int) -> None:

@@ -1,18 +1,15 @@
 """Hot numeric kernels: mod-p recurrence runs, full F_p^2 survivor scans,
 and the integer-grid coverage count.
 
-Two interchangeable backends produce bit-identical results:
+One engine: a single run is a scalar loop on Python ints, a full scan steps
+every residue pair at once in int64 numpy arrays, and the coverage count
+marks each condition pair's lattice in a boolean grid with strided slices.
 
-* ``numba``  -- @njit-compiled loops (default when numba imports), and
-* ``numpy``  -- a vectorised batch scan plus pure-Python scalar loops.
-
-Selection: the ``MAHLERCF_BACKEND`` environment variable (``numba`` or
-``numpy``) at import time, or :func:`set_backend` at runtime. The benchmark
-in ``benchmarks/bench_backends.py`` times one against the other.
-
-All kernels work on plain int64 residues; exact Fraction work lives
-elsewhere. Products stay below 2^63 for any p < 3e9, far above the p <= 10^6
-cap enforced by callers.
+All kernels work on plain integer residues; exact Fraction work lives
+elsewhere. A single run uses Python ints and cannot overflow. The batch
+scan's largest int64 product, (u^2 mod p) * u^2, stays below p^3 < 2^63 for
+p < 2e6, above the p <= 10^6 cap of the condition enumeration and far above
+any p whose p^2 history columns fit in memory.
 
 Failure causes are encoded as ints: 0 = ok, 1 = a beta entry equals zero,
 2 = a division hit a zero divisor (defensive; unreachable while earlier
@@ -21,62 +18,20 @@ betas are nonzero).
 
 from __future__ import annotations
 
-import os
-import types
-
 import numpy as np
 
 OK = 0
 CAUSE_BETA_ZERO = 1
 CAUSE_DIV_ZERO = 2
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-_VALID = ("numba", "numpy")
-_backend = os.environ.get("MAHLERCF_BACKEND", "numba" if HAS_NUMBA else "numpy")
-if _backend not in _VALID:
-    raise RuntimeError(f"MAHLERCF_BACKEND must be one of {_VALID}, got {_backend!r}")
-if _backend == "numba" and not HAS_NUMBA:
-    _backend = "numpy"
-
 
 def get_backend() -> str:
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    global _backend
-    if name not in _VALID:
-        raise ValueError(f"backend must be one of {_VALID}, got {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _backend = name
-
-
-# ---------------------------------------------------------------------------
-# scalar recurrence history (single source, compiled twice)
-# ---------------------------------------------------------------------------
-
-def _inv_mod(a: int, p: int) -> int:
-    # a^(p-2) mod p by square-and-multiply; caller guarantees a != 0
-    r = 1
-    b = a % p
-    e = p - 2
-    while e > 0:
-        if e & 1:
-            r = r * b % p
-        b = b * b % p
-        e >>= 1
-    return r
+    """Name of the arithmetic engine, reported beside benchmark results."""
+    return "numpy"
 
 
 def _history(u, v, p, n, alphas, betas):
-    """Fill 1-based history arrays up to the block boundary >= n.
+    """Fill 1-based history lists up to the block boundary >= n.
 
     Returns (fail_index, cause); fail_index 0 means the run survived.
     A zero beta is recorded at its index before halting; a zero divisor
@@ -92,12 +47,10 @@ def _history(u, v, p, n, alphas, betas):
         return 0, OK
     if b2 == 0:
         return 2, CAUSE_BETA_ZERO
-    d = (v - u * u) % p
-    dinv = _inv_mod(d, p)
-    alphas[2] = u * ((2 * v - 1 - u * u) % p) % p * dinv % p
-    alphas[3] = (-u) % p * ((v - 1) % p) % p * dinv % p
-    b3 = (u * u + u * u % p * (u * u) + v * v % p * v - 3 * u * u % p * v) % p
-    b3 = b3 * dinv % p * dinv % p
+    dinv = pow(v - u * u, -1, p)
+    alphas[2] = u * (2 * v - 1 - u * u) * dinv % p
+    alphas[3] = -u * (v - 1) * dinv % p
+    b3 = (u * u + u ** 4 + v ** 3 - 3 * u * u * v) * dinv * dinv % p
     betas[3] = b3
     if b3 == 0 and n >= 3:
         return 3, CAUSE_BETA_ZERO
@@ -109,7 +62,7 @@ def _history(u, v, p, n, alphas, betas):
         alphas[3 * k + 4] = (-u) % p
         if denom == 0:
             return 3 * k + 4, CAUSE_DIV_ZERO
-        b4 = betas[k + 2] * _inv_mod(denom, p) % p
+        b4 = betas[k + 2] * pow(denom, -1, p) % p
         betas[3 * k + 4] = b4
         if b4 == 0:
             return 3 * k + 4, CAUSE_BETA_ZERO
@@ -118,7 +71,7 @@ def _history(u, v, p, n, alphas, betas):
         if b5 == 0:
             return 3 * k + 5, CAUSE_BETA_ZERO
         a5 = (alphas[k + 2] + u * v - alphas[i2] * b4) % p
-        a5 = (u - a5 * _inv_mod(b5, p)) % p
+        a5 = (u - a5 * pow(b5, -1, p)) % p
         alphas[3 * k + 5] = a5
         a6 = (u - a5) % p
         alphas[3 * k + 6] = a6
@@ -130,68 +83,35 @@ def _history(u, v, p, n, alphas, betas):
     return 0, OK
 
 
-def _scan_loop(p, n, out):
-    # out: int32 (p, p); 0 marks a survivor at horizon n
-    alphas = np.zeros(n + 4, dtype=np.int64)
-    betas = np.zeros(n + 4, dtype=np.int64)
-    for u in range(p):
-        for v in range(p):
-            idx, _ = _history(u, v, p, n, alphas, betas)
-            if idx > n:
-                idx = 0
-            out[u, v] = idx
+def run_history(u: int, v: int, p: int, n: int):
+    """Mod-p recurrence history to the block boundary >= n.
+
+    Returns (alphas, betas, fail_index, cause): int64 arrays indexed 1..,
+    fail_index 0 when no beta vanished up to the boundary.
+    """
+    alphas = [0] * (n + 4)
+    betas = [0] * (n + 4)
+    idx, cause = _history(u, v, p, n, alphas, betas)
+    return np.array(alphas, dtype=np.int64), np.array(betas, dtype=np.int64), idx, cause
 
 
-def _density_loop(u_lo, u_hi, b, primes, offsets, tables):
-    # count pairs (u, v), u in [u_lo, u_hi], v in [-b, b], hitting any table
-    count = 0
-    for u in range(u_lo, u_hi + 1):
-        for v in range(-b, b + 1):
-            for i in range(len(primes)):
-                p = primes[i]
-                if tables[offsets[i] + (u % p) * p + (v % p)]:
-                    count += 1
-                    break
-    return count
+def first_zero(u: int, v: int, p: int, max_index: int) -> int:
+    """Smallest index <= max_index whose beta vanishes mod p, or 0 if none."""
+    _, _, idx, _ = run_history(u, v, p, max_index)
+    return idx if 0 < idx <= max_index else 0
 
 
-if HAS_NUMBA:
-    _inv_mod_nb = njit(cache=True, nogil=True)(_inv_mod)
+def scan_grid(p: int, n: int) -> np.ndarray:
+    """First-zero index for every pair in F_p^2 (0 = survivor), shape (p, p).
 
-    def _rebind(fn, **globals_override):
-        # compile fn with its module globals swapped for jitted versions
-        g = dict(fn.__globals__)
-        g.update(globals_override)
-        return types.FunctionType(fn.__code__, g, fn.__name__, fn.__defaults__)
-
-    _history_nb = njit(cache=True, nogil=True)(_rebind(_history, _inv_mod=_inv_mod_nb))
-    _scan_loop_nb = njit(cache=True, nogil=True)(_rebind(_scan_loop, _history=_history_nb))
-    _density_loop_nb = njit(cache=True, nogil=True)(_density_loop)
-
-
-# ---------------------------------------------------------------------------
-# numpy batch scan: all residue pairs stepped simultaneously
-# ---------------------------------------------------------------------------
-
-def _modpow_vec(base: np.ndarray, e: int, p: int) -> np.ndarray:
-    r = np.ones_like(base)
-    b = base % p
-    while e > 0:
-        if e & 1:
-            r = r * b % p
-        b = b * b % p
-        e >>= 1
-    return r
-
-
-def _inv_vec(a: np.ndarray, p: int) -> np.ndarray:
-    # zero entries (dead columns only) are mapped to a harmless 1
-    return _modpow_vec(np.where(a == 0, 1, a), p - 2, p)
-
-
-def _scan_grid_numpy(p: int, n: int) -> np.ndarray:
+    All pairs are stepped together, one history column each. Dead columns
+    keep computing (harmless) values until the history array next grows,
+    when they are compacted away.
+    """
     boundary = n + (-n) % 3  # last index of the final block, multiple of 3
     nblocks = boundary // 3 - 1
+    # inverse table: entry 0 is only ever gathered for dead columns
+    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
 
     u = np.repeat(np.arange(p, dtype=np.int64), p)
     v = np.tile(np.arange(p, dtype=np.int64), p)
@@ -208,8 +128,7 @@ def _scan_grid_numpy(p: int, n: int) -> np.ndarray:
     B[2] = b2
     alive = b2 != 0
     first[orig[~alive]] = 2
-    d = (v - u * u) % p
-    dinv = _inv_vec(d, p)
+    dinv = inv[(v - u * u) % p]
     A[2] = u * ((2 * v - 1 - u * u) % p) % p * dinv % p
     A[3] = (-u) % p * ((v - 1) % p) % p * dinv % p
     b3 = (u * u % p * (u * u) + u * u + v * v % p * v - 3 * u * u % p * v) % p
@@ -236,7 +155,7 @@ def _scan_grid_numpy(p: int, n: int) -> np.ndarray:
         if len(u) == 0:
             break
         denom = B[3 * k + 3] * B[3 * k + 2] % p
-        b4 = B[k + 2] * _inv_vec(denom, p) % p
+        b4 = B[k + 2] * inv[denom] % p
         A[i4] = (-u) % p
         B[i4] = b4
         died = alive & (b4 == 0)
@@ -248,7 +167,7 @@ def _scan_grid_numpy(p: int, n: int) -> np.ndarray:
         first[orig[died]] = i5
         alive &= ~died
         a5 = (A[k + 2] + u * v - A[3 * k + 2] * b4) % p
-        a5 = (u - a5 * _inv_vec(b5, p)) % p
+        a5 = (u - a5 * inv[b5]) % p
         A[i5] = a5
         a6 = (u - a5) % p
         A[i6] = a6
@@ -262,58 +181,16 @@ def _scan_grid_numpy(p: int, n: int) -> np.ndarray:
     return first.reshape(p, p)
 
 
-def _density_numpy(u_lo, u_hi, b, primes, offsets, tables):
-    us = np.arange(u_lo, u_hi + 1)
-    vs = np.arange(-b, b + 1)
-    covered = np.zeros((len(us), len(vs)), dtype=bool)
-    for i, p in enumerate(primes):
-        p = int(p)
-        t = tables[offsets[i] : offsets[i] + p * p].reshape(p, p).astype(bool)
-        covered |= t[np.ix_(us % p, vs % p)]
-    return int(covered.sum())
-
-
-# ---------------------------------------------------------------------------
-# public dispatchers
-# ---------------------------------------------------------------------------
-
-def run_history(u: int, v: int, p: int, n: int):
-    """Mod-p recurrence history to the block boundary >= n.
-
-    Returns (alphas, betas, fail_index, cause): int64 arrays indexed 1..,
-    fail_index 0 when no beta vanished up to the boundary.
-    """
-    alphas = np.zeros(n + 4, dtype=np.int64)
-    betas = np.zeros(n + 4, dtype=np.int64)
-    if _backend == "numba":
-        idx, cause = _history_nb(u, v, p, n, alphas, betas)
-    else:
-        idx, cause = _history(u, v, p, n, alphas, betas)
-    return alphas, betas, int(idx), int(cause)
-
-
-def first_zero(u: int, v: int, p: int, max_index: int) -> int:
-    """Smallest index <= max_index whose beta vanishes mod p, or 0 if none."""
-    _, _, idx, _ = run_history(u, v, p, max_index)
-    return idx if 0 < idx <= max_index else 0
-
-
-def scan_grid(p: int, n: int) -> np.ndarray:
-    """First-zero index for every pair in F_p^2 (0 = survivor), shape (p, p)."""
-    if _backend == "numba":
-        out = np.zeros((p, p), dtype=np.int32)
-        _scan_loop_nb(p, n, out)
-        return out
-    return _scan_grid_numpy(p, n)
-
-
-def density_count(u_lo: int, u_hi: int, b: int, primes: np.ndarray,
-                  offsets: np.ndarray, tables: np.ndarray) -> int:
+def density_count(u_lo: int, u_hi: int, b: int, tables: dict) -> int:
     """Count covered integer pairs with u in [u_lo, u_hi], v in [-b, b].
 
-    ``tables`` is the concatenation of p*p uint8 membership tables, one per
-    prime, indexed (u mod p) * p + (v mod p) at ``offsets[i]``.
+    ``tables`` maps each prime p to its condition pairs (u0, v0) in F_p^2;
+    an integer pair is covered when it reduces to one of them for some p.
+    Each residue pair covers a lattice of the box, marked by one strided
+    slice.
     """
-    if _backend == "numba":
-        return int(_density_loop_nb(u_lo, u_hi, b, primes, offsets, tables))
-    return _density_numpy(u_lo, u_hi, b, primes, offsets, tables)
+    covered = np.zeros((u_hi - u_lo + 1, 2 * b + 1), dtype=bool)
+    for p, pairs in tables.items():
+        for u0, v0 in pairs:
+            covered[(u0 - u_lo) % p :: p, (v0 + b) % p :: p] = True
+    return int(covered.sum())

@@ -7,9 +7,9 @@ pairs that died) would be an implementation bug; ``extra_survivors`` are
 findings to report, never auto-promoted to new conditions, since a survivor
 at a finite horizon may die later.
 
-The density experiment never runs the recurrence: each prime contributes a
-small membership table of its condition pairs, and every integer pair is a
-cheap table probe across all primes. Work shards by u-row block; shards are
+The density experiment never runs the recurrence: each condition pair
+(u0, v0) of a prime p covers every integer pair congruent to it mod p, a
+lattice that is marked in one step. Work shards by u-row block; shards are
 independent and merged by addition, so parallel and serial runs agree
 exactly.
 """
@@ -84,7 +84,8 @@ def scan_range(p_min: int, p_max: int, max_index: int = DEFAULT_HORIZON,
     """scan_prime for every prime in [p_min, p_max], ascending.
 
     Primes are independent shards; with jobs > 1 they run on a thread pool
-    (the kernels release the GIL) and results are ordered by p regardless.
+    (numpy releases the GIL inside its array operations) and results are
+    ordered by p regardless.
     """
     primes = primes_between(max(3, p_min), p_max)
     if jobs <= 1 or len(primes) <= 1:
@@ -115,37 +116,19 @@ class DensityReport:
         }
 
 
-def condition_tables(prime_max: int):
-    """Flat uint8 membership tables of the condition pairs, one per prime."""
-    primes = primes_between(3, prime_max)
-    offsets = []
-    chunks = []
-    pos = 0
-    for p in primes:
-        t = np.zeros(p * p, dtype=np.uint8)
-        for (u, v) in satisfying_pairs(p):
-            t[u * p + v] = 1
-        offsets.append(pos)
-        chunks.append(t)
-        pos += p * p
-    tables = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint8)
-    return (
-        np.asarray(primes, dtype=np.int64),
-        np.asarray(offsets, dtype=np.int64),
-        tables,
-    )
+def condition_tables(prime_max: int) -> dict:
+    """The condition pairs (u, v) in F_p^2 of every prime 3 <= p <= prime_max."""
+    return {p: list(satisfying_pairs(p)) for p in primes_between(3, prime_max)}
 
 
 def density(bound: int, prime_max: int, jobs: int = 1) -> DensityReport:
     """Exact coverage count over the integer square [-bound, bound]^2."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    primes, offsets, tables = condition_tables(prime_max)
+    tables = condition_tables(prime_max)
     total = (2 * bound + 1) ** 2
-    if len(primes) == 0:
-        return DensityReport(bound, prime_max, total, 0)
     if jobs <= 1:
-        covered = kernels.density_count(-bound, bound, bound, primes, offsets, tables)
+        covered = kernels.density_count(-bound, bound, bound, tables)
     else:
         edges = np.linspace(-bound, bound + 1, jobs + 1, dtype=np.int64)
         slabs = [
@@ -155,7 +138,7 @@ def density(bound: int, prime_max: int, jobs: int = 1) -> DensityReport:
         ]
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             parts = pool.map(
-                lambda s: kernels.density_count(s[0], s[1], bound, primes, offsets, tables),
+                lambda s: kernels.density_count(s[0], s[1], bound, tables),
                 slabs,
             )
             covered = sum(parts)

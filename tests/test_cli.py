@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,19 @@ class TestRecurrence:
         code, doc = run_json(capsys, "recurrence", "-u", "1/2", "-v", "3", "-n", "3")
         assert code == EXIT_OK
         assert Fraction(doc["betas"][1]) == Fraction(1, 4) - 3
+
+    def test_value_past_digit_limit_is_usage_error(self, capsys):
+        # beta_1311 of (5, 1) over Q has a denominator of more than 4300 digits
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code = main(["recurrence", "-u=5", "-v=1", "-n", "1311"])
+        finally:
+            sys.set_int_max_str_digits(previous)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "4300 digits" in captured.err
 
 
 class TestCf:
@@ -173,7 +187,6 @@ class TestPlumbing:
 
     def test_subprocess_entry_point(self):
         import subprocess
-        import sys
 
         proc = subprocess.run(
             [sys.executable, "-m", "mahlercf.cli", "recurrence",

@@ -1,27 +1,16 @@
-"""Backend parity: the numba kernels and the numpy fallback must agree
-bit-for-bit, and both must agree with the element-level field path."""
+"""The int engine against independent code: the element-level field path
+for single runs, per-pair runs for the batch scan, and a direct membership
+probe for the coverage count."""
 
 import random
 
-import numpy as np
 import pytest
 
 from mahlercf import kernels, search
 from mahlercf.recurrence import run_mod_p
 
-BACKENDS = ["numpy"] + (["numba"] if kernels.HAS_NUMBA else [])
 
-
-@pytest.fixture
-def restore_backend():
-    previous = kernels.get_backend()
-    yield
-    kernels.set_backend(previous)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_history_matches_field_elements(backend, restore_backend):
-    kernels.set_backend(backend)
+def test_history_matches_field_elements():
     rng = random.Random(41)
     for _ in range(20):
         p = rng.choice((5, 7, 11, 13, 17))
@@ -37,52 +26,35 @@ def test_history_matches_field_elements(backend, restore_backend):
             assert [int(a) for a in run.alphas[:limit]] == alphas[1 : limit + 1].tolist()
 
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-class TestBackendParity:
-    def test_run_history(self, restore_backend):
-        rng = random.Random(5)
-        for _ in range(30):
-            p = rng.choice((3, 5, 7, 11, 13, 97))
-            u, v = rng.randrange(p), rng.randrange(p)
-            outs = []
-            for backend in ("numba", "numpy"):
-                kernels.set_backend(backend)
-                outs.append(kernels.run_history(u, v, p, 200))
-            (a1, b1, i1, c1), (a2, b2, i2, c2) = outs
-            assert i1 == i2 and c1 == c2
-            if i1 == 0:
-                assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
-
-    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
-    def test_scan_grid(self, p, restore_backend):
-        grids = {}
-        for backend in ("numba", "numpy"):
-            kernels.set_backend(backend)
-            grids[backend] = kernels.scan_grid(p, 600)
-        assert np.array_equal(grids["numba"], grids["numpy"])
-
-    def test_scan_grid_full_horizon(self, restore_backend):
-        # exercises the batch scanner's grow/compact cycles all the way out
-        grids = {}
-        for backend in ("numba", "numpy"):
-            kernels.set_backend(backend)
-            grids[backend] = kernels.scan_grid(13, 10_000)
-        assert np.array_equal(grids["numba"], grids["numpy"])
-
-    def test_density_count(self, restore_backend):
-        primes, offsets, tables = search.condition_tables(40)
-        counts = {}
-        for backend in ("numba", "numpy"):
-            kernels.set_backend(backend)
-            counts[backend] = kernels.density_count(
-                -60, 60, 60, primes, offsets, tables
-            )
-        assert counts["numba"] == counts["numpy"]
+def _per_pair_grid(p, n):
+    return [[kernels.first_zero(u, v, p, n) for v in range(p)] for u in range(p)]
 
 
-def test_backend_selection_validates():
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_scan_grid_matches_per_pair_runs(p):
+    grid = kernels.scan_grid(p, 600)
+    assert grid.shape == (p, p)
+    assert grid.tolist() == _per_pair_grid(p, 600)
+
+
+def test_scan_grid_full_horizon():
+    # exercises the batch scanner's grow/compact cycles all the way out
+    assert kernels.scan_grid(13, 10_000).tolist() == _per_pair_grid(13, 10_000)
+
+
+def test_density_count_matches_membership_probe():
+    # slab starts -61 and 17 are not multiples of any prime in the tables
+    tables = search.condition_tables(40)
+    members = {p: set(pairs) for p, pairs in tables.items()}
+    b = 45
+    for u_lo, u_hi in ((-61, 16), (17, 59)):
+        direct = sum(
+            1
+            for u in range(u_lo, u_hi + 1)
+            for v in range(-b, b + 1)
+            if any((u % p, v % p) in members[p] for p in members)
+        )
+        assert kernels.density_count(u_lo, u_hi, b, tables) == direct
 
 
 def test_scan_grid_diagonal_dies_at_two():

@@ -94,16 +94,12 @@ class TestDensity:
         assert density(35, 35, jobs=1).covered == density(35, 35, jobs=5).covered
 
     def test_witness_pair_never_covered(self):
-        primes, offsets, tables = condition_tables(1000)
-        for i, p in enumerate(primes):
-            p = int(p)
-            assert tables[int(offsets[i]) + (2 % p) * p + (-2 % p)] == 0
+        for p, pairs in condition_tables(1000).items():
+            assert (2 % p, -2 % p) not in pairs
 
 
 @pytest.mark.parametrize("p", [3, 7, 11])
 def test_condition_tables_match_enumeration(p):
-    primes, offsets, tables = condition_tables(p)
-    i = list(primes).index(p)
-    table = tables[int(offsets[i]) : int(offsets[i]) + p * p].reshape(p, p)
-    pairs = {(u, v) for u in range(p) for v in range(p) if table[u, v]}
-    assert pairs == set(satisfying_pairs(p))
+    pairs = condition_tables(p)[p]
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == set(satisfying_pairs(p))
