@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -137,13 +138,12 @@ def cmd_recurrence(args, cfg) -> int:
 def _extract_with_retry(u, v, terms: int, depth_cap: int):
     """expand + extract, doubling depth on InsufficientDepth up to the cap.
 
-    Returns (cf, series, depth). Raises InsufficientDepth once the cap is hit.
+    Returns (cf, depth). Raises InsufficientDepth once the cap is hit.
     """
     depth = 2 * terms + 4
     while True:
-        series = laurent.expand_g(u, v, depth)
         try:
-            return laurent.cf_extract(series, terms), series, depth
+            return laurent.cf_extract(laurent.expand_g(u, v, depth), terms), depth
         except InsufficientDepth:
             if depth >= depth_cap:
                 raise
@@ -157,7 +157,7 @@ def cmd_cf(args, cfg) -> int:
     if run.ok:
         run.extend(n)
     try:
-        cf, _, depth = _extract_with_retry(args.u, args.v, n, depth_cap)
+        cf, depth = _extract_with_retry(args.u, args.v, n, depth_cap)
     except InsufficientDepth as exc:
         doc = {
             "u": str(args.u),
@@ -311,7 +311,7 @@ def cmd_mu(args, cfg) -> int:
     n = args.n
     depth_cap = _setting(args, cfg, "depth_cap", 64 * (2 * n + 4))
     try:
-        cf, _, depth = _extract_with_retry(args.u, args.v, n, depth_cap)
+        cf, depth = _extract_with_retry(args.u, args.v, n, depth_cap)
     except InsufficientDepth as exc:
         _emit({"verdict": "DEPTH_EXHAUSTED", "detail": str(exc), "depth_cap": depth_cap}, args)
         return EXIT_NO_PRECISION
@@ -342,6 +342,7 @@ def cmd_mu(args, cfg) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="mahlercf",

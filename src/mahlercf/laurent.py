@@ -8,17 +8,25 @@ of silently degrading. That exactness is the whole point: the classical
 quotient-extraction algorithm run on a deep-enough expansion is an
 independent oracle for the recurrence's (alpha_i, beta_i).
 
-The classical expansion  f = b_0 + 1/(b_1 + 1/(b_2 + ...))  is renormalised
-to constant numerators over monic quotients via the equivalence transform
-a_i = b_i/lam_i, beta_1 = 1/lam_1, beta_i = 1/(lam_{i-1} lam_i) for i >= 2,
-where lam_i is the leading coefficient of b_i. The transform is validated
-by the oracle-equivalence tests, not trusted a priori.
+The classical expansion  f = b_0 + 1/(b_1 + 1/(b_2 + ...))  comes from a
+remainder sequence, with no series inversion: s_-1 = 1, s_0 = f - b_0,
+b_k+1 = polynomial part of s_k-1 / s_k, s_k+1 = s_k-1 - b_k+1 s_k, exact
+down to max(floor s_k-1, floor s_k + deg b_k+1). A quotient is emitted only
+when the coefficients its long division reads lie at or above the floors;
+below them it could change with a deeper expansion. A quotient of degree d
+costs O(depth * d), so n linear ones cost O(n * depth). The expansion is
+renormalised to constant numerators over monic quotients via the
+equivalence transform a_i = b_i/lam_i, beta_1 = 1/lam_1,
+beta_i = 1/(lam_{i-1} lam_i) for i >= 2, where lam_i is the leading
+coefficient of b_i. The transform is validated by the oracle-equivalence
+tests, not trusted a priori.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .fields import as_scalar, one_like, zero_like
 
@@ -215,22 +223,6 @@ class LaurentSeries:
         out = [self.coeff(d) for d in range(top, self.floor - 1, -1)]
         return LaurentSeries(top, out, self.floor)
 
-    def inverse(self) -> "LaurentSeries":
-        """Multiplicative inverse; exact down to floor - 2*valuation."""
-        t = self.known_valuation()
-        if t is None:
-            raise InsufficientDepth("cannot invert a series that is zero to its floor")
-        lead = self.coeff(t)
-        m = t - self.floor + 1  # number of known coefficients from the valuation down
-        inv_lead = 1 / lead
-        h = [inv_lead]
-        for j in range(1, m):
-            s = 0
-            for i in range(1, j + 1):
-                s = s + self.coeff(t - i) * h[j - i]
-            h.append(-s * inv_lead)
-        return LaurentSeries(-t, h, -t - m + 1)
-
     def to_json_dict(self) -> dict:
         return {
             "top_degree": self.top_degree,
@@ -335,28 +327,40 @@ def cf_extract(g: LaurentSeries, max_terms: int) -> CFExpansion:
     """Classical quotient extraction, renormalised to (beta_i, monic a_i).
 
     Stops after max_terms quotients. Raises InsufficientDepth as soon as the
-    next quotient is not fully determined by exact coefficients; it never
-    returns unreliable terms.
+    next quotient is not fully determined by exact coefficients, at the point
+    and with the message of inverting each remainder s_k / s_k-1 (whose
+    relative precision is that of s_k); it never returns unreliable terms.
     """
     if g.is_zero_to_floor():
         raise InsufficientDepth("series is zero to its floor; nothing to expand")
     a0 = g.poly_part()
-    remainder = g.fractional_part()
+    one = one_like(g.coeffs[0])
+    prev = LaurentSeries(0, [one] + [zero_like(one)] * -g.floor, g.floor)  # s_-1 = 1
+    cur = g.fractional_part()
     pairs = []
-    lam_prev = None
+    lam_prev = 1  # beta_1 = 1/lam_1
     for _ in range(max_terms):
-        f = remainder.inverse()
-        b = f.poly_part()
-        # f's valuation >= 1, so b is nonconstant and carries f's leading term
-        lam = b.leading
-        a = b.monic()
-        if lam_prev is None:
-            beta = 1 / lam
-        else:
-            beta = 1 / (lam_prev * lam)
-        pairs.append((beta, a))
-        lam_prev = lam
-        remainder = f.fractional_part()
+        val = cur.known_valuation()
+        if val is None:
+            raise InsufficientDepth("cannot invert a series that is zero to its floor")
+        deg = prev.top_degree - val  # prev is trimmed: its top degree is its valuation
+        # long division reads prev down to val and cur down to val - deg
+        if prev.floor > val or cur.floor > val - deg:
+            raise InsufficientDepth("floor above degree 0: polynomial part not certified")
+        q = []  # q[i] is the coefficient of z^(deg - i) in the quotient
+        for i in range(deg + 1):
+            acc = prev.coeffs[i]
+            for j in range(1, i + 1):
+                acc = acc - cur.coeffs[j] * q[i - j]
+            q.append(acc / cur.coeffs[0])
+        b = Polynomial(reversed(q))
+        prod = cur.mul_poly(b)  # exact down to floor s_k + deg b
+        floor = max(prev.floor, prod.floor)
+        # degrees >= val cancel by the choice of b
+        rest = [prev.coeff(d) - prod.coeff(d) for d in range(val - 1, floor - 1, -1)]
+        pairs.append((1 / (lam_prev * b.leading), b.monic()))
+        lam_prev = b.leading
+        prev, cur = cur, LaurentSeries(val - 1, rest, floor)
     return CFExpansion(a0, pairs)
 
 
@@ -378,17 +382,12 @@ def convergents(cf: CFExpansion, k: int):
 
 
 def convergent_denominator_degrees(cf: CFExpansion) -> list[int]:
-    """[deg q_0, deg q_1, ..., deg q_n] for the full expansion."""
-    degs = [0]
-    q_prev = Polynomial([1])
-    q_cur = None
-    for i, (beta, a) in enumerate(cf.pairs, start=1):
-        if i == 1:
-            q_cur = a
-        else:
-            q_cur, q_prev = a * q_cur + q_prev.scale(beta), q_cur
-        degs.append(q_cur.degree)
-    return degs
+    """[deg q_0, deg q_1, ..., deg q_n] as prefix sums of the deg a_i.
+
+    In q_k = a_k q_k-1 + beta_k q_k-2 the degrees rise strictly (deg a_k >= 1)
+    and beta_k is a nonzero constant, so deg q_k = deg a_k + deg q_k-1.
+    """
+    return list(accumulate((a.degree for _, a in cf.pairs), initial=0))
 
 
 def residual_valuation(g: LaurentSeries, p_k: Polynomial, q_k: Polynomial) -> int:

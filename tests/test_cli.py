@@ -97,6 +97,13 @@ class TestCf:
         assert code == EXIT_MATH_FAILURE
         assert doc["verdict"] == "NONLINEAR at 2"
 
+    def test_deep_run_certifies_at_default_depth(self, capsys):
+        code, doc = run_json(capsys, "cf", "-u=2", "-v=3", "-n", "101")
+        assert code == EXIT_OK
+        assert doc["verdict"] == "AGREE"
+        assert doc["expansion_depth"] == 206
+        assert len(doc["extracted"]["terms"]) == 101
+
 
 class TestCheck:
     def test_covered(self, capsys):
@@ -179,11 +186,27 @@ class TestMu:
         assert doc["degrees"] == list(range(31))
         assert "depth" in doc["label"]
 
+    def test_deep_degrees(self, capsys):
+        code, doc = run_json(capsys, "mu", "-u=2", "-v=3", "-n", "101")
+        assert code == EXIT_OK
+        assert doc["degrees"] == list(range(102))
+        assert doc["expansion_depth"] == 206
+
 
 class TestPlumbing:
     def test_usage_error_64(self, capsys):
         assert main(["recurrence", "-u", "1"]) == EXIT_USAGE
         assert main(["nonsense"]) == EXIT_USAGE
+
+    def test_consecutive_calls_share_one_parser(self, capsys):
+        code, doc = run_json(capsys, "recurrence", "-u", "2", "-v", "3", "-n", "3")
+        assert code == EXIT_OK and doc["betas"] == ["1", "1", "11"]
+        code, doc = run_json(capsys, "check", "-u", "2", "-v", "0", "-p", "7")
+        assert code == EXIT_OK and doc["witnesses"][0]["case"] == "C3"
+        assert main(["cf", "-u", "2"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: mahlercf cf" in captured.err
 
     def test_subprocess_entry_point(self):
         import subprocess

@@ -24,6 +24,41 @@ from mahlercf.laurent import (
 from mahlercf.recurrence import run_over_q
 
 
+def reference_inverse(s: LaurentSeries) -> LaurentSeries:
+    """Multiplicative inverse; exact down to floor - 2*valuation."""
+    t = s.known_valuation()
+    if t is None:
+        raise InsufficientDepth("cannot invert a series that is zero to its floor")
+    lead = s.coeff(t)
+    m = t - s.floor + 1  # number of known coefficients from the valuation down
+    inv_lead = 1 / lead
+    h = [inv_lead]
+    for j in range(1, m):
+        acc = 0
+        for i in range(1, j + 1):
+            acc = acc + s.coeff(t - i) * h[j - i]
+        h.append(-acc * inv_lead)
+    return LaurentSeries(-t, h, -t - m + 1)
+
+
+def reference_quotients(g: LaurentSeries):
+    """Classical extraction by inverting every remainder, O(terms * depth^2).
+
+    The independent reference for cf_extract: yields the renormalised
+    (beta_i, a_i) in order and raises InsufficientDepth where cf_extract
+    must refuse, with the same message.
+    """
+    remainder = g.fractional_part()
+    lam_prev = None
+    while True:
+        f = reference_inverse(remainder)
+        b = f.poly_part()
+        lam = b.leading
+        yield (1 / lam if lam_prev is None else 1 / (lam_prev * lam)), b.monic()
+        lam_prev = lam
+        remainder = f.fractional_part()
+
+
 class TestPolynomial:
     def test_basics(self):
         p = Polynomial([Fraction(1), Fraction(2)])  # 2z + 1
@@ -114,6 +149,56 @@ class TestExtract:
             cf_extract(expand_g(2, 3, 6), 20)
 
 
+class TestAgainstInversionReference:
+    """cf_extract and the inversion reference certify exactly the same terms."""
+
+    @staticmethod
+    def assert_same_certification(g, depth):
+        ref_terms, ref_refusal = [], None
+        try:
+            for term in reference_quotients(g):
+                ref_terms.append(term)
+                if len(ref_terms) == depth:
+                    break
+        except InsufficientDepth as exc:
+            ref_refusal = str(exc)
+        for n in range(1, depth + 1):
+            if n <= len(ref_terms):
+                cf = cf_extract(g, n)
+                assert cf.pairs == ref_terms[:n], n
+                assert cf.a0 == g.poly_part()
+            else:
+                with pytest.raises(InsufficientDepth) as info:
+                    cf_extract(g, n)
+                assert str(info.value) == ref_refusal, n
+
+    @pytest.mark.parametrize("depth", [4, 9, 22, 35])
+    def test_rational_pairs(self, depth):
+        pairs = [(1, 1), (0, 0), (2, 4), (-3, 9), (Fraction(1, 2), Fraction(1, 4)),
+                 (2, 3), (5, 1), (Fraction(-3, 2), 2), (Fraction(7, 3), Fraction(-1, 5)),
+                 (Fraction(1, 2), 3), (-4, -7), (3, 0), (0, -2)]
+        for u, v in pairs:
+            self.assert_same_certification(expand_g(u, v, depth), depth)
+
+    @pytest.mark.parametrize("depth", [9, 22])
+    def test_f7_pairs(self, depth):
+        f = PrimeField(7)
+        for u in range(7):
+            for v in range(0, 7, 3):
+                self.assert_same_certification(expand_g(f(u), f(v), depth), depth)
+
+    def test_series_with_polynomial_part(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            top = rng.randint(-3, 3)
+            floor = rng.randint(-14, min(top, 0))
+            coeffs = [Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+                      for _ in range(top - floor + 1)]
+            g = LaurentSeries(top, coeffs, floor)
+            if not g.is_zero_to_floor():
+                self.assert_same_certification(g, 8)
+
+
 class TestOracleEquivalence:
     def test_2_3_twenty_terms(self):
         n = 20
@@ -171,6 +256,12 @@ class TestConvergents:
         cf = cf_extract(expand_g(2, 3, 24), 5)
         with pytest.raises(IndexError):
             convergents(cf, 6)
+
+    @pytest.mark.parametrize("u, v, n, depth", [(2, 3, 20, 44), (2, 4, 3, 60)])
+    def test_degrees_are_convergent_denominator_degrees(self, u, v, n, depth):
+        cf = cf_extract(expand_g(u, v, depth), n)
+        degrees = convergent_denominator_degrees(cf)
+        assert degrees == [convergents(cf, k)[1].degree for k in range(n + 1)]
 
     def test_degrees_increment_for_linear_runs(self):
         n = 30
