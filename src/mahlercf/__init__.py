@@ -10,16 +10,7 @@ integer-pair coverage density.
 """
 
 from .conditions import ConditionWitness, check_pair, covered, covered_up_to, satisfying_pairs
-from .fields import (
-    ExactRational,
-    PrimeField,
-    PrimeFieldElement,
-    ZeroInverse,
-    fp_inv,
-    is_prime,
-    poly_roots_mod_p,
-    primes_between,
-)
+from .fields import ExactRational, is_prime, poly_roots_mod_p, primes_between
 from .laurent import (
     CFExpansion,
     InsufficientDepth,
@@ -63,11 +54,8 @@ __all__ = [
     "LemmaSpec",
     "NeedTwoTerms",
     "Polynomial",
-    "PrimeField",
-    "PrimeFieldElement",
     "RecurrenceRun",
     "ScanResult",
-    "ZeroInverse",
     "cf_extract",
     "check_pair",
     "convergents",
@@ -77,7 +65,6 @@ __all__ = [
     "expand_g",
     "extend_run",
     "first_beta_zero",
-    "fp_inv",
     "init_run",
     "is_prime",
     "mu_estimate",

@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import conditions, laurent, patterns, recurrence, search
-from .fields import PrimeField, is_prime
+from .fields import check_odd_prime
 from .laurent import InsufficientDepth
 
 EXIT_OK = 0
@@ -89,9 +89,7 @@ def _setting(args, cfg: dict, key: str, fallback: int) -> int:
     return cfg.get(key, fallback)
 
 
-def _scalar_list(values, as_residue: bool):
-    if as_residue:
-        return [int(x) for x in values]
+def _scalar_list(values):
     try:
         return [str(x) for x in values]
     except ValueError as exc:  # Python's int-to-str digit limit
@@ -99,8 +97,17 @@ def _scalar_list(values, as_residue: bool):
 
 
 def _require_prime(p: int) -> None:
-    if p < 3 or not is_prime(p):
-        raise SystemExit(f"p must be a prime >= 3, got {p}")
+    try:
+        check_odd_prime(p)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+
+
+def _residue(name: str, x: Fraction, p: int) -> int:
+    """x reduced mod p; a usage error when p divides its denominator."""
+    if x.denominator % p == 0:
+        raise SystemExit(f"-{name}={x} has no residue mod {p}: {p} divides its denominator")
+    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 # ---------------------------------------------------------------------------
@@ -109,24 +116,17 @@ def _require_prime(p: int) -> None:
 
 def cmd_recurrence(args, cfg) -> int:
     n = args.n
-    if args.p is not None:
-        _require_prime(args.p)
-        field = PrimeField(args.p)
-        u, v = field.from_rational(args.u), field.from_rational(args.v)
+    if args.p is None:
+        run = recurrence.run_over_q(args.u, args.v, n)
+        u, v, field = str(args.u), str(args.v), "Q"
+        alphas, betas = _scalar_list(run.alphas[:n]), _scalar_list(run.betas[:n])
     else:
-        u, v = args.u, args.v
-    run = recurrence.init_run(u, v)
-    if run.ok:
-        run.extend(n)
-    mod_p = args.p is not None
-    doc = {
-        "u": int(u) if mod_p else str(u),
-        "v": int(v) if mod_p else str(v),
-        "field": f"F_{args.p}" if mod_p else "Q",
-        "n": n,
-        "alphas": _scalar_list(run.alphas[:n], mod_p),
-        "betas": _scalar_list(run.betas[:n], mod_p),
-    }
+        _require_prime(args.p)
+        u, v = _residue("u", args.u, args.p), _residue("v", args.v, args.p)
+        run = recurrence.run_mod_p(u, v, args.p, n)
+        field = f"F_{args.p}"
+        alphas, betas = list(run.alphas[:n]), list(run.betas[:n])
+    doc = {"u": u, "v": v, "field": field, "n": n, "alphas": alphas, "betas": betas}
     if run.ok:
         doc["status"] = "ok"
     else:
@@ -164,8 +164,8 @@ def cmd_cf(args, cfg) -> int:
             "v": str(args.v),
             "n": n,
             "recurrence": {
-                "alphas": _scalar_list(run.alphas[:n], False),
-                "betas": _scalar_list(run.betas[:n], False),
+                "alphas": _scalar_list(run.alphas[:n]),
+                "betas": _scalar_list(run.betas[:n]),
                 "status": "ok" if run.ok else
                 {"failed_at": run.failure.index, "cause": run.failure.cause},
             },
@@ -187,8 +187,8 @@ def cmd_cf(args, cfg) -> int:
         "n": n,
         "expansion_depth": depth,
         "recurrence": {
-            "alphas": _scalar_list(run.alphas[:n], False),
-            "betas": _scalar_list(run.betas[:n], False),
+            "alphas": _scalar_list(run.alphas[:n]),
+            "betas": _scalar_list(run.betas[:n]),
             "status": "ok" if run.ok else
             {"failed_at": run.failure.index, "cause": run.failure.cause},
         },

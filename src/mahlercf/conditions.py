@@ -12,8 +12,10 @@ Case table (p >= 3 prime; phi/delta are roots of the stated polynomials):
     C6  u = 0,          v = +-delta    delta^2 + delta + 1 = 0
     C7  u = +-2 delta^2, v = delta     delta^2 + delta + 1 = 0, p != 3
 
-Root finding is exhaustive over F_p (cheap at these sizes); enumeration and
-decision are kept in one code path so they cannot drift apart.
+Root finding is exhaustive over F_p (cheap at these sizes). Enumeration
+(iter_witnesses, from the roots) and decision (check_pair, direct residue
+tests) are two separate code paths; tests/test_conditions.py checks that
+they agree on all of F_p^2 for every prime p < 50.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .fields import is_prime, poly_roots_mod_p, primes_between
+from .fields import check_odd_prime, poly_roots_mod_p, primes_between
 
 CASE_IDS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7")
 
@@ -88,18 +90,13 @@ class ConditionWitness:
         }
 
 
-def _check_p(p: int) -> None:
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"p must be a prime >= 3, got {p}")
-
-
 def iter_witnesses(p: int) -> Iterator[ConditionWitness]:
     """Every (case, parameter, sign) combination satisfied at p.
 
     Distinct parameter choices may land on the same residue pair; consumers
     that want sets deduplicate at the pair level.
     """
-    _check_p(p)
+    check_odd_prime(p)
     for r in sorted(poly_roots_mod_p([-3, 0, 1], p)):
         yield ConditionWitness("C1", p, u=r, v=1 % p)
     for r in sorted(poly_roots_mod_p([3, 0, 1], p)):
@@ -142,7 +139,7 @@ def check_pair(u: int, v: int, p: int) -> list[ConditionWitness]:
     parameterisations match; the full enumeration (both signs, all roots)
     lives in iter_witnesses.
     """
-    _check_p(p)
+    check_odd_prime(p)
     um, vm = u % p, v % p
     out = []
     if (um * um - 3) % p == 0 and vm == 1 % p:

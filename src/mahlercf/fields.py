@@ -1,11 +1,12 @@
-"""Exact scalar arithmetic: arbitrary-precision rationals and prime fields F_p.
+"""Exact scalar arithmetic over Q and the prime helpers of the mod-p layers.
 
 Rationals are ``fractions.Fraction`` (always lowest terms, positive
-denominator). Prime-field elements are thin immutable wrappers around a
-residue in [0, p); arithmetic mixes freely with Python ints but refuses to
-mix distinct moduli. Root finding mod p is brute force: every polynomial we
-care about has degree <= 4 and p stays small, so O(p) per polynomial is
-cheap and leaves no room for algorithmic bugs.
+denominator); every exact run works in them. Mod-p work has no scalar type
+of its own: the kernels step plain int residues. This module supplies what
+they share: primality, the odd-prime check, a prime sieve and root finding
+mod p. Root finding is brute force: every polynomial we care about has
+degree <= 4 and p stays small, so O(p) per polynomial is cheap and leaves no
+room for algorithmic bugs.
 """
 
 from __future__ import annotations
@@ -16,12 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-# The rational scalar type used for all Q-mode runs.
+# The rational scalar type of every exact run.
 ExactRational = Fraction
-
-
-class ZeroInverse(ZeroDivisionError):
-    """Raised when inverting 0 in F_p; signals a division failure."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -53,183 +50,21 @@ def primes_between(lo: int, hi: int) -> list[int]:
     return [int(q) for q in np.nonzero(sieve)[0] if q >= lo]
 
 
-class PrimeFieldElement:
-    """A residue modulo an odd prime p >= 3.
+def check_odd_prime(p: int) -> None:
+    """Raise ValueError unless p is an odd prime, the moduli the recurrence
+    and the residue conditions are stated for."""
+    if p < 3 or not is_prime(p):
+        raise ValueError(f"p must be a prime >= 3, got {p}")
 
-    Immutable; arithmetic with ints lifts them into the same field, while
-    mixing elements of different moduli is a hard error (silent coercion
-    would corrupt scan results).
+
+def as_scalar(x) -> Fraction:
+    """Lift an int or Fraction to Fraction and reject anything else.
+
+    Guards the exact entry points against int/int -> float surprises.
     """
-
-    __slots__ = ("residue", "p")
-
-    def __init__(self, value: int, p: int):
-        if p < 3 or not is_prime(p):
-            raise ValueError(f"modulus must be an odd prime >= 3, got {p}")
-        object.__setattr__(self, "residue", value % p)
-        object.__setattr__(self, "p", p)
-
-    @classmethod
-    def _make(cls, residue: int, p: int) -> "PrimeFieldElement":
-        # internal fast path: p already validated, residue already reduced
-        el = object.__new__(cls)
-        object.__setattr__(el, "residue", residue)
-        object.__setattr__(el, "p", p)
-        return el
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimeFieldElement is immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, PrimeFieldElement):
-            if other.p != self.p:
-                raise ValueError(
-                    f"moduli mismatch: cannot combine F_{self.p} with F_{other.p}"
-                )
-            return other.residue
-        if isinstance(other, int):
-            return other % self.p
-        return None
-
-    def __add__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return self._make((self.residue + r) % self.p, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return self._make((self.residue - r) % self.p, self.p)
-
-    def __rsub__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return self._make((r - self.residue) % self.p, self.p)
-
-    def __mul__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return self._make(self.residue * r % self.p, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return self * fp_inv(self._make(r, self.p))
-
-    def __rtruediv__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return self._make(r, self.p) * fp_inv(self)
-
-    def __neg__(self):
-        return self._make(-self.residue % self.p, self.p)
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            return fp_inv(self) ** (-e)
-        return self._make(pow(self.residue, e, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, PrimeFieldElement):
-            return self.p == other.p and self.residue == other.residue
-        if isinstance(other, int):
-            return self.residue == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.residue, self.p))
-
-    def __bool__(self):
-        return self.residue != 0
-
-    def __int__(self):
-        return self.residue
-
-    def __repr__(self):
-        return f"{self.residue} (mod {self.p})"
-
-
-class PrimeField:
-    """Factory for PrimeFieldElement values sharing one validated modulus."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if p < 3 or not is_prime(p):
-            raise ValueError(f"modulus must be an odd prime >= 3, got {p}")
-        self.p = p
-
-    def __call__(self, value: int) -> PrimeFieldElement:
-        return PrimeFieldElement._make(value % self.p, self.p)
-
-    @property
-    def zero(self) -> PrimeFieldElement:
-        return PrimeFieldElement._make(0, self.p)
-
-    @property
-    def one(self) -> PrimeFieldElement:
-        return PrimeFieldElement._make(1 % self.p, self.p)
-
-    def from_rational(self, q: Fraction) -> PrimeFieldElement:
-        """Reduce a rational mod p; fails when the denominator is divisible by p."""
-        num, den = q.numerator, q.denominator
-        if den % self.p == 0:
-            raise ZeroInverse(f"denominator {den} not invertible mod {self.p}")
-        return self(num) / self(den)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
-
-
-def fp_inv(a: PrimeFieldElement) -> PrimeFieldElement:
-    """Multiplicative inverse in F_p; raises ZeroInverse on a == 0."""
-    if a.residue == 0:
-        raise ZeroInverse(f"0 has no inverse mod {a.p}")
-    return PrimeFieldElement._make(pow(a.residue, a.p - 2, a.p), a.p)
-
-
-def one_like(x):
-    """The multiplicative identity of x's field (Fraction or PrimeFieldElement)."""
-    if isinstance(x, PrimeFieldElement):
-        return PrimeFieldElement._make(1 % x.p, x.p)
-    return Fraction(1)
-
-
-def zero_like(x):
-    """The additive identity of x's field."""
-    if isinstance(x, PrimeFieldElement):
-        return PrimeFieldElement._make(0, x.p)
-    return Fraction(0)
-
-
-def as_scalar(x):
-    """Lift plain ints to Fraction; pass exact scalars through unchanged.
-
-    Guards the Q-mode entry points against int/int -> float surprises.
-    """
-    if isinstance(x, (Fraction, PrimeFieldElement)):
-        return x
-    if isinstance(x, int):
+    if isinstance(x, (int, Fraction)):
         return Fraction(x)
-    raise TypeError(f"expected int, Fraction or PrimeFieldElement, got {type(x).__name__}")
+    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 def poly_roots_mod_p(coeffs, p: int) -> set[int]:

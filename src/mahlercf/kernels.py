@@ -1,9 +1,11 @@
 """Hot numeric kernels: mod-p recurrence runs, full F_p^2 survivor scans,
 and the integer-grid coverage count.
 
-One engine: a single run is a scalar loop on Python ints, a full scan steps
-every residue pair at once in int64 numpy arrays, and the coverage count
-marks each condition pair's lattice in a boolean grid with strided slices.
+One engine: a single run is a scalar loop on Python ints (the only one:
+every single mod-p run in the package goes through ``run_history``), a full
+scan steps every residue pair at once in int64 numpy arrays, and the
+coverage count marks each condition pair's lattice in a boolean grid with
+strided slices.
 
 All kernels work on plain integer residues; exact Fraction work lives
 elsewhere. A single run uses Python ints and cannot overflow. The batch
@@ -30,69 +32,51 @@ def get_backend() -> str:
     return "numpy"
 
 
-def _history(u, v, p, n, alphas, betas):
-    """Fill 1-based history lists up to the block boundary >= n.
+def run_history(u: int, v: int, p: int, n: int):
+    """Mod-p recurrence history to the block boundary >= max(n, 3), or to
+    the first failure.
 
-    Returns (fail_index, cause); fail_index 0 means the run survived.
-    A zero beta is recorded at its index before halting; a zero divisor
-    halts without recording the entry being computed.
+    Returns (alphas, betas, fail_index, cause): lists indexed 1.. (slot 0
+    unused) that end where the run stopped, and fail_index 0 when no beta
+    vanished. They hold exactly what RecurrenceRun records: a zero beta is
+    kept at its index, alpha_{3k+5} is absent when beta_{3k+5} is the zero,
+    and a zero divisor halts after alpha_{3k+4}, before beta_{3k+4}.
     """
-    u = u % p
-    v = v % p
-    alphas[1] = (-u) % p
-    betas[1] = 1
-    b2 = (u * u - v) % p
-    betas[2] = b2
-    if n <= 1:
-        return 0, OK
-    if b2 == 0:
-        return 2, CAUSE_BETA_ZERO
+    u %= p
+    v %= p
+    alphas = [0, -u % p]
+    betas = [0, 1, (u * u - v) % p]
+    if betas[2] == 0:
+        return alphas, betas, 2, CAUSE_BETA_ZERO
     dinv = pow(v - u * u, -1, p)
-    alphas[2] = u * (2 * v - 1 - u * u) * dinv % p
-    alphas[3] = -u * (v - 1) * dinv % p
-    b3 = (u * u + u ** 4 + v ** 3 - 3 * u * u * v) * dinv * dinv % p
-    betas[3] = b3
-    if b3 == 0 and n >= 3:
-        return 3, CAUSE_BETA_ZERO
+    alphas += (u * (2 * v - 1 - u * u) * dinv % p, -u * (v - 1) * dinv % p)
+    betas.append((u * u + u ** 4 + v ** 3 - 3 * u * u * v) * dinv * dinv % p)
+    if betas[3] == 0:
+        return alphas, betas, 3, CAUSE_BETA_ZERO
     k = 0
     while 3 * k + 3 < n:
-        i2 = 3 * k + 2
-        i3 = 3 * k + 3
-        denom = betas[i3] * betas[i2] % p
-        alphas[3 * k + 4] = (-u) % p
+        alphas.append(-u % p)
+        denom = betas[3 * k + 3] * betas[3 * k + 2] % p
         if denom == 0:
-            return 3 * k + 4, CAUSE_DIV_ZERO
+            return alphas, betas, 3 * k + 4, CAUSE_DIV_ZERO
         b4 = betas[k + 2] * pow(denom, -1, p) % p
-        betas[3 * k + 4] = b4
+        betas.append(b4)
         if b4 == 0:
-            return 3 * k + 4, CAUSE_BETA_ZERO
+            return alphas, betas, 3 * k + 4, CAUSE_BETA_ZERO
         b5 = (u * u - v - b4) % p
-        betas[3 * k + 5] = b5
+        betas.append(b5)
         if b5 == 0:
-            return 3 * k + 5, CAUSE_BETA_ZERO
-        a5 = (alphas[k + 2] + u * v - alphas[i2] * b4) % p
+            return alphas, betas, 3 * k + 5, CAUSE_BETA_ZERO
+        a5 = (alphas[k + 2] + u * v - alphas[3 * k + 2] * b4) % p
         a5 = (u - a5 * pow(b5, -1, p)) % p
-        alphas[3 * k + 5] = a5
         a6 = (u - a5) % p
-        alphas[3 * k + 6] = a6
+        alphas += (a5, a6)
         b6 = (v - a5 * a6) % p
-        betas[3 * k + 6] = b6
+        betas.append(b6)
         if b6 == 0:
-            return 3 * k + 6, CAUSE_BETA_ZERO
+            return alphas, betas, 3 * k + 6, CAUSE_BETA_ZERO
         k += 1
-    return 0, OK
-
-
-def run_history(u: int, v: int, p: int, n: int):
-    """Mod-p recurrence history to the block boundary >= n.
-
-    Returns (alphas, betas, fail_index, cause): int64 arrays indexed 1..,
-    fail_index 0 when no beta vanished up to the boundary.
-    """
-    alphas = [0] * (n + 4)
-    betas = [0] * (n + 4)
-    idx, cause = _history(u, v, p, n, alphas, betas)
-    return np.array(alphas, dtype=np.int64), np.array(betas, dtype=np.int64), idx, cause
+    return alphas, betas, 0, OK
 
 
 def first_zero(u: int, v: int, p: int, max_index: int) -> int:

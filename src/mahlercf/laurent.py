@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .fields import as_scalar, one_like, zero_like
+from .fields import as_scalar
 
 
 class InsufficientDepth(ArithmeticError):
@@ -40,7 +40,7 @@ class NeedTwoTerms(ValueError):
 
 
 class Polynomial:
-    """Dense polynomial over an exact scalar field; coeffs ascending by degree."""
+    """Dense polynomial over Q; coeffs ascending by degree."""
 
     __slots__ = ("coeffs",)
 
@@ -106,7 +106,7 @@ class Polynomial:
         return Polynomial([a / lam for a in self.coeffs])
 
     def __call__(self, x):
-        acc = zero_like(as_scalar(x)) if self.is_zero() else self.coeffs[-1] * 0
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -130,8 +130,7 @@ class Polynomial:
 
 def linear(alpha) -> Polynomial:
     """The monic linear polynomial z + alpha."""
-    alpha = as_scalar(alpha)
-    return Polynomial([alpha, one_like(alpha)])
+    return Polynomial([as_scalar(alpha), Fraction(1)])
 
 
 class LaurentSeries:
@@ -179,7 +178,7 @@ class LaurentSeries:
                 f"cannot deepen floor {self.floor} to {new_floor} by truncation"
             )
         if new_floor > self.top_degree:
-            return LaurentSeries(new_floor, [zero_like(self.coeffs[0])], new_floor)
+            return LaurentSeries(new_floor, [Fraction(0)], new_floor)
         return LaurentSeries(self.top_degree, self.coeffs[: self.top_degree - new_floor + 1], new_floor)
 
     def mul_poly(self, q: Polynomial) -> "LaurentSeries":
@@ -227,7 +226,7 @@ class LaurentSeries:
         return {
             "top_degree": self.top_degree,
             "floor": self.floor,
-            "coefficients": [scalar_to_json(c) for c in self.coeffs],
+            "coefficients": [str(c) for c in self.coeffs],
         }
 
     def __eq__(self, other):
@@ -241,15 +240,6 @@ class LaurentSeries:
 
     def __repr__(self):
         return f"LaurentSeries(top={self.top_degree}, floor={self.floor})"
-
-
-def scalar_to_json(c):
-    """Exact JSON form: 'num/den' string for rationals, int for residues."""
-    if isinstance(c, Fraction):
-        return str(c)
-    if isinstance(c, int):
-        return str(c)
-    return int(c)  # PrimeFieldElement residue
 
 
 @dataclass
@@ -286,11 +276,8 @@ class CFExpansion:
 
     def to_json_dict(self) -> dict:
         return {
-            "a0": [scalar_to_json(c) for c in self.a0.coeffs],
-            "terms": [
-                {"beta": scalar_to_json(b), "a": [scalar_to_json(c) for c in a.coeffs]}
-                for b, a in self.pairs
-            ],
+            "a0": [str(c) for c in self.a0.coeffs],
+            "terms": [{"beta": str(b), "a": [str(c) for c in a.coeffs]} for b, a in self.pairs],
         }
 
 
@@ -304,11 +291,9 @@ def expand_g(u, v, depth: int) -> LaurentSeries:
         raise ValueError("depth must be >= 1")
     u = as_scalar(u)
     v = as_scalar(v)
-    one = one_like(u)
-    zero = zero_like(u)
     # c[j] is the coefficient of z^(-1-j)
-    c = [zero] * depth
-    c[0] = one
+    c = [Fraction(0)] * depth
+    c[0] = Fraction(1)
     step = 1
     while step <= depth:
         two = 2 * step
@@ -334,8 +319,7 @@ def cf_extract(g: LaurentSeries, max_terms: int) -> CFExpansion:
     if g.is_zero_to_floor():
         raise InsufficientDepth("series is zero to its floor; nothing to expand")
     a0 = g.poly_part()
-    one = one_like(g.coeffs[0])
-    prev = LaurentSeries(0, [one] + [zero_like(one)] * -g.floor, g.floor)  # s_-1 = 1
+    prev = LaurentSeries(0, [Fraction(1)] + [Fraction(0)] * -g.floor, g.floor)  # s_-1 = 1
     cur = g.fractional_part()
     pairs = []
     lam_prev = 1  # beta_1 = 1/lam_1

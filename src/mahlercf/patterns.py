@@ -27,7 +27,7 @@ from typing import Optional
 
 from . import recurrence
 from .conditions import ConditionWitness, iter_witnesses
-from .fields import is_prime
+from .fields import check_odd_prime
 
 
 @dataclass(frozen=True)
@@ -261,8 +261,7 @@ def verify_lemma(spec: LemmaSpec) -> LemmaReport:
     A beta hitting zero before 9K+9 is itself a pattern violation and is
     reported as the run failure.
     """
-    if not is_prime(spec.p) or spec.p < 3:
-        raise ValueError(f"p must be a prime >= 3, got {spec.p}")
+    check_odd_prime(spec.p)
     n = spec.depth
     alphas, betas, failure = recurrence.history_mod_p(spec.u, spec.v, spec.p, n)
     if failure is not None:

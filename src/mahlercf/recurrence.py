@@ -23,16 +23,18 @@ survivor scans.
 
 Indexing is 1-based throughout, mirroring the subscripts above; the step
 3k+4 reads back index k+2, so the full history is kept (O(n) scalars).
-Scalars are either Fraction or PrimeFieldElement; plain ints are lifted to
-Fraction.
+RecurrenceRun works over Q in Fractions (plain ints are lifted). Every run
+mod p is the int loop ``kernels.run_history``, read through run_mod_p,
+history_mod_p and first_beta_zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import kernels
-from .fields import PrimeField, PrimeFieldElement, as_scalar, is_prime, one_like
+from .fields import as_scalar, check_odd_prime
 
 BETA_ZERO = "beta_zero"
 DIVISION_BY_ZERO = "division_by_zero"
@@ -51,7 +53,7 @@ class Failure:
 
 
 class RecurrenceRun:
-    """The evolving (alpha_i, beta_i) sequences for one pair (u, v).
+    """The evolving (alpha_i, beta_i) sequences over Q for one pair (u, v).
 
     ``alpha(i)``/``beta(i)`` are 1-based. On BETA_ZERO the zero entry exists
     (``beta(failure.index) == 0``) and nothing beyond it; the alpha list may
@@ -68,10 +70,9 @@ class RecurrenceRun:
         self.u = u
         self.v = v
         self.failure = None
-        one = one_like(u)
         b2 = u * u - v
         self._alphas = [-u]
-        self._betas = [one, b2]
+        self._betas = [Fraction(1), b2]
         if b2 == 0:
             self.failure = Failure(2, BETA_ZERO)
             return
@@ -172,28 +173,41 @@ def run_over_q(u, v, n: int) -> RecurrenceRun:
     return run
 
 
-def run_mod_p(u: int, v: int, p: int, n: int) -> RecurrenceRun:
-    """Run over F_p to length >= n or first failure (element-level path)."""
-    field = PrimeField(p)
-    run = RecurrenceRun(field(u), field(v))
-    if run.ok:
-        run.extend(n)
-    return run
+@dataclass(frozen=True)
+class ModPRun:
+    """A finished run over F_p, read-only: residues u, v in [0, p) and the
+    alphas/betas that RecurrenceRun would record, as tuples of residues."""
+
+    u: int
+    v: int
+    alphas: tuple
+    betas: tuple
+    failure: Failure | None
+
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
 
 
-def _check_modulus(p: int) -> None:
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"modulus must be an odd prime >= 3, got {p}")
+def run_mod_p(u: int, v: int, p: int, n: int) -> ModPRun:
+    """Run over F_p to length >= n or first failure.
+
+    Like run_over_q, a failure inside the last block counts even past n.
+    """
+    check_odd_prime(p)
+    alphas, betas, idx, cause = kernels.run_history(u, v, p, max(n, 3))
+    failure = Failure(idx, _CAUSE_NAMES[cause]) if idx else None
+    return ModPRun(u % p, v % p, tuple(alphas[1:]), tuple(betas[1:]), failure)
 
 
 def history_mod_p(u: int, v: int, p: int, n: int):
-    """Fast int-level run mod p via the compiled kernels.
+    """Int-level run mod p, to the block boundary >= n or first failure.
 
-    Returns (alphas, betas, failure): int64 arrays (1-based; entries beyond
-    the failure index are meaningless) and a Failure or None. A failure
-    index beyond n does not count: the run survived the requested horizon.
+    Returns (alphas, betas, failure): the lists of ``kernels.run_history``
+    (1-based, slot 0 unused) and a Failure or None. A failure index beyond
+    n does not count: the run survived the requested horizon.
     """
-    _check_modulus(p)
+    check_odd_prime(p)
     alphas, betas, idx, cause = kernels.run_history(u, v, p, n)
     failure = Failure(idx, _CAUSE_NAMES[cause]) if 0 < idx <= n else None
     return alphas, betas, failure
@@ -205,6 +219,6 @@ def first_beta_zero(u: int, v: int, p: int, max_index: int) -> int | None:
     A (defensive) zero divisor at step i reports i as well. This is the
     survivor-test primitive for the residue scans.
     """
-    _check_modulus(p)
+    check_odd_prime(p)
     idx = kernels.first_zero(u, v, p, max_index)
     return idx if idx else None

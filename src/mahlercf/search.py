@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .conditions import satisfying_pairs
-from .fields import is_prime, primes_between
+from .fields import check_odd_prime, primes_between
 
 DEFAULT_HORIZON = 10_000
 
@@ -73,8 +73,7 @@ class ScanResult:
 
 def scan_prime(p: int, max_index: int = DEFAULT_HORIZON) -> ScanResult:
     """Run every pair in F_p^2 to its first beta zero or the horizon."""
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"p must be a prime >= 3, got {p}")
+    check_odd_prime(p)
     grid = kernels.scan_grid(p, max_index)
     return ScanResult(p, max_index, grid)
 

@@ -57,6 +57,26 @@ class TestRecurrence:
         assert code == EXIT_OK
         assert Fraction(doc["betas"][1]) == Fraction(1, 4) - 3
 
+    def test_denominator_divisible_by_p_is_usage_error(self, capsys):
+        code = main(["recurrence", "-u=1/7", "-v=1", "-p", "7", "-n", "5"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "-u=1/7 has no residue mod 7" in captured.err
+
+    def test_mod_p_reduces_rationals(self, capsys):
+        # 1/2 = 4 mod 7 and -3/5 = -3 * 3 = 5 mod 7
+        code, doc = run_json(capsys, "recurrence", "-u=1/2", "-v=-3/5", "-p", "7", "-n", "6")
+        _, direct = run_json(capsys, "recurrence", "-u=4", "-v=5", "-p", "7", "-n", "6")
+        assert (doc["u"], doc["v"]) == (4, 5)
+        assert doc == direct and code == (EXIT_OK if doc["status"] == "ok" else EXIT_MATH_FAILURE)
+
+    def test_composite_p_is_usage_error(self, capsys):
+        code = main(["recurrence", "-u=1", "-v=2", "-p", "9", "-n", "5"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert "p must be a prime >= 3, got 9" in captured.err
+
     def test_value_past_digit_limit_is_usage_error(self, capsys):
         # beta_1311 of (5, 1) over Q has a denominator of more than 4300 digits
         previous = sys.get_int_max_str_digits()

@@ -1,29 +1,35 @@
-"""The int engine against independent code: the element-level field path
+"""The int engine against independent code: the Fraction run reduced mod p
 for single runs, per-pair runs for the batch scan, and a direct membership
 probe for the coverage count."""
-
-import random
 
 import pytest
 
 from mahlercf import kernels, search
-from mahlercf.recurrence import run_mod_p
+from mahlercf.recurrence import run_over_q
 
 
 def test_history_matches_field_elements():
-    rng = random.Random(41)
-    for _ in range(20):
-        p = rng.choice((5, 7, 11, 13, 17))
-        u, v = rng.randrange(p), rng.randrange(p)
-        n = 60
-        alphas, betas, idx, cause = kernels.run_history(u, v, p, n)
-        run = run_mod_p(u, v, p, n)
-        if run.failure and run.failure.index <= n:
-            assert idx == run.failure.index
-        else:
-            limit = min(n, len(run.betas))
-            assert [int(b) for b in run.betas[:limit]] == betas[1 : limit + 1].tolist()
-            assert [int(a) for a in run.alphas[:limit]] == alphas[1 : limit + 1].tolist()
+    """run_history equals the Q run's entries reduced to F_p elements, up to
+    and including the first reduced beta that is 0. Every denominator of the
+    Q run is a product of earlier betas, so every reduction up to there is
+    defined: no pair is skipped."""
+    n = 99
+    for u in range(-9, 10):
+        for v in range(-9, 10):
+            qrun = run_over_q(u, v, n)
+            for p in (3, 5, 7, 11, 13):
+                rb = []
+                for b in qrun.betas:
+                    rb.append(b.numerator * pow(b.denominator, -1, p) % p)
+                    if rb[-1] == 0:
+                        break
+                idx = len(rb) if rb[-1] == 0 else 0
+                n_alphas = idx - (idx % 3 == 2) if idx else len(qrun.alphas)
+                ra = [a.numerator * pow(a.denominator, -1, p) % p for a in qrun.alphas[:n_alphas]]
+                alphas, betas, fail, cause = kernels.run_history(u, v, p, n)
+                assert (fail, cause) == ((idx, kernels.CAUSE_BETA_ZERO) if idx else (0, kernels.OK))
+                assert betas[1:] == rb, (u, v, p)
+                assert alphas[1:] == ra, (u, v, p)
 
 
 def _per_pair_grid(p, n):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from mahlercf.fields import PrimeField
+from mahlercf.kernels import run_history
 from mahlercf.laurent import (
     CFExpansion,
     InsufficientDepth,
@@ -100,11 +100,6 @@ class TestExpand:
             deep = expand_g(u, v, 40)
             assert deep.truncate(-15) == expand_g(u, v, 15)
 
-    def test_mod_p_expansion(self):
-        f = PrimeField(7)
-        s = expand_g(f(2), f(3), 4)
-        assert [int(s.coeff(-d)) for d in range(1, 5)] == [1, 2, 3, 2]
-
     def test_coeff_below_floor_raises(self):
         s = expand_g(2, 3, 4)
         with pytest.raises(InsufficientDepth):
@@ -180,13 +175,6 @@ class TestAgainstInversionReference:
         for u, v in pairs:
             self.assert_same_certification(expand_g(u, v, depth), depth)
 
-    @pytest.mark.parametrize("depth", [9, 22])
-    def test_f7_pairs(self, depth):
-        f = PrimeField(7)
-        for u in range(7):
-            for v in range(0, 7, 3):
-                self.assert_same_certification(expand_g(f(u), f(v), depth), depth)
-
     def test_series_with_polynomial_part(self):
         rng = random.Random(17)
         for _ in range(40):
@@ -229,17 +217,18 @@ class TestOracleEquivalence:
             done += 1
 
     def test_prime_field_mode(self):
-        # the oracle also runs over F_p and must match the mod-p recurrence
-        from mahlercf.recurrence import run_mod_p
-
-        f = PrimeField(11)
-        n = 12
-        run = run_mod_p(5, 1, 11, n)
-        cf = cf_extract(expand_g(f(5), f(1), 2 * n + 4), n)
+        # the Q oracle reduced mod p must match the mod-p recurrence
+        n, p = 12, 11
+        cf = cf_extract(expand_g(5, 1, 2 * n + 4), n)
         assert cf.all_linear()
-        alphas = cf.linear_constants()
-        assert all(cf.beta(i) == run.beta(i) for i in range(1, n + 1))
-        assert all(alphas[i - 1] == run.alpha(i) for i in range(1, n + 1))
+
+        def reduce(x):
+            return x.numerator * pow(x.denominator, -1, p) % p
+
+        alphas, betas, idx, _ = run_history(5, 1, p, n)
+        assert idx == 0
+        assert [reduce(cf.beta(i)) for i in range(1, n + 1)] == betas[1:]
+        assert [reduce(a) for a in cf.linear_constants()] == alphas[1:]
 
 
 class TestConvergents:
@@ -303,14 +292,13 @@ class TestJsonSerialization:
         assert doc["top_degree"] == -1 and doc["floor"] == -5
         assert [Fraction(c) for c in doc["coefficients"]] == list(s.coeffs)
 
-    def test_cf_over_prime_field_serializes_residues(self):
+    def test_cf_round_trip_exact(self):
         import json
 
-        f = PrimeField(11)
-        cf = cf_extract(expand_g(f(5), f(1), 24), 6)
+        cf = cf_extract(expand_g(Fraction(1, 2), 3, 24), 6)
         doc = json.loads(json.dumps(cf.to_json_dict()))
-        assert all(isinstance(t["beta"], int) for t in doc["terms"])
-        assert doc["terms"][0]["a"] == [int(cf.quotient(1).coeff(0)), 1]
+        assert [Fraction(t["beta"]) for t in doc["terms"]] == [b for b, _ in cf.pairs]
+        assert [[Fraction(c) for c in t["a"]] for t in doc["terms"]] == [a.coeffs for _, a in cf.pairs]
 
 
 class TestMuEstimate:

@@ -1,11 +1,11 @@
 """The block recurrence: seeded values, failure bookkeeping, reduction mod p."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from mahlercf.fields import PrimeField, ZeroInverse
 from mahlercf.recurrence import (
     BETA_ZERO,
     ExtendAfterFailure,
@@ -19,40 +19,54 @@ from mahlercf.recurrence import (
 )
 
 
-def replay_entries(run):
+def replay_entries(run, p=None):
     """Independently re-derive every stored entry from the defining formulas.
 
     Deliberately written index-first (not block-first) so a bookkeeping slip
-    in the engine cannot hide here.
+    in the engine cannot hide here. With p, the run holds residues mod p and
+    every identity is checked mod p, dividing by pow(x, -1, p).
     """
+    if p is None:
+        def same(x, y):
+            return x == y
+
+        def div(x, y):
+            return x / y
+    else:
+        def same(x, y):
+            return (x - y) % p == 0
+
+        def div(x, y):
+            return x * pow(y, -1, p)
+
     u, v = run.u, run.v
     a = dict(enumerate(run.alphas, start=1))
     b = dict(enumerate(run.betas, start=1))
-    assert b[1] == 1
-    assert b[2] == u * u - v
+    assert same(b[1], 1)
+    assert same(b[2], u * u - v)
     if 1 in a:
-        assert a[1] == -u
+        assert same(a[1], -u)
     d = v - u * u
     if 2 in a:
-        assert a[2] == u * (2 * v - 1 - u * u) / d
+        assert same(a[2], div(u * (2 * v - 1 - u * u), d))
     if 3 in a:
-        assert a[3] == -u * (v - 1) / d
+        assert same(a[3], div(-u * (v - 1), d))
     if 3 in b:
-        assert b[3] == (u * u + u**4 + v**3 - 3 * u * u * v) / (d * d)
+        assert same(b[3], div(u * u + u**4 + v**3 - 3 * u * u * v, d * d))
     for i in sorted(b):
         if i < 4:
             continue
         k, r = divmod(i - 4, 3)
         if r == 0:  # i = 3k+4
-            assert b[i] == b[k + 2] / (b[3 * k + 3] * b[3 * k + 2])
-            assert a[i] == -u
+            assert same(b[i], div(b[k + 2], b[3 * k + 3] * b[3 * k + 2]))
+            assert same(a[i], -u)
         elif r == 1:  # i = 3k+5
-            assert b[i] == u * u - v - b[3 * k + 4]
+            assert same(b[i], u * u - v - b[3 * k + 4])
             if i in a:
-                assert a[i] == u - (a[k + 2] + u * v - a[3 * k + 2] * b[3 * k + 4]) / b[i]
+                assert same(a[i], u - div(a[k + 2] + u * v - a[3 * k + 2] * b[3 * k + 4], b[i]))
         else:  # i = 3k+6
-            assert a[i] == u - a[i - 1]
-            assert b[i] == v - a[i - 1] * a[i]
+            assert same(a[i], u - a[i - 1])
+            assert same(b[i], v - a[i - 1] * a[i])
 
 
 class TestInit:
@@ -69,10 +83,9 @@ class TestInit:
         assert run.betas == (1, 1, 11)
 
     def test_5_1_mod_11(self):
-        f = PrimeField(11)
-        run = init_run(f(5), f(1))
-        assert [int(x) for x in run.alphas] == [6, 5, 0]
-        assert [int(x) for x in run.betas] == [1, 2, 1]
+        run = run_mod_p(5, 1, 11, 3)
+        assert run.alphas == (6, 5, 0)
+        assert run.betas == (1, 2, 1)
 
     def test_int_inputs_lifted_to_fraction(self):
         run = init_run(2, 3)
@@ -118,13 +131,14 @@ class TestExtend:
 
     def test_replay_ok_run(self):
         replay_entries(run_over_q(2, 3, 30))
-        replay_entries(run_mod_p(5, 1, 11, 30))
-        replay_entries(run_mod_p(1, 2, 7, 30))
+        replay_entries(run_mod_p(5, 1, 11, 30), 11)
+        replay_entries(run_mod_p(1, 2, 7, 30), 7)
 
     def test_replay_failed_run(self):
         run = init_run(2, 1)
         run.extend(100)
         replay_entries(run)
+        replay_entries(run_mod_p(3, 3, 11, 30), 11)  # dies at 8 = 3k+5
 
     def test_determinism(self):
         a = run_over_q(3, -7, 36)
@@ -157,6 +171,16 @@ class TestFirstBetaZero:
         assert first_beta_zero(0, 1, 5, 19) is None
         assert first_beta_zero(0, 1, 5, 20) == 20
 
+    def test_early_death_allocates_nothing_for_the_horizon(self):
+        # the run stops at its zero, so a far horizon costs no memory
+        tracemalloc.start()
+        try:
+            assert first_beta_zero(0, 1, 5, 10**7) == 20
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_matches_generic_field_run(self):
         rng = random.Random(7)
         for _ in range(25):
@@ -167,14 +191,21 @@ class TestFirstBetaZero:
             assert first_beta_zero(u, v, p, 600) == expect, (u, v, p)
 
 
+def reduce_mod(x, p):
+    """A rational's residue mod p; pow raises ValueError if p divides its
+    denominator."""
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
 class TestReductionCompatibility:
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_q_run_reduces_to_fp_run(self, p):
-        """A Q-run with p-coprime entries reduces, entry by entry, to the
-        F_p run -- which fails exactly at the first vanishing reduced beta
-        (if any; at p = 5 every pair has one, since no condition exists)."""
+        """A Q-run reduces, entry by entry, to the F_p run -- which fails
+        exactly at the first vanishing reduced beta (if any; at p = 5 every
+        pair has one, since no condition exists). Every denominator is a
+        product of earlier betas, so none is divisible by p before a reduced
+        beta vanishes."""
         rng = random.Random(p)
-        field = PrimeField(p)
         checked = attempts = 0
         while checked < 6 and attempts < 500:
             attempts += 1
@@ -184,24 +215,58 @@ class TestReductionCompatibility:
                 qrun.extend(99)
             if not qrun.ok:
                 continue
-            try:
-                rb = [field.from_rational(b) for b in qrun.betas]
-                ra = [field.from_rational(a) for a in qrun.alphas]
-            except ZeroInverse:
-                continue  # a denominator hit p: reduction undefined, skip
-            first_zero = next((i for i, b in enumerate(rb, start=1) if b == 0), None)
+            rb = []
+            for b in qrun.betas:
+                rb.append(reduce_mod(b, p))
+                if rb[-1] == 0:
+                    break
+            first_zero = len(rb) if rb[-1] == 0 else None
             prun = run_mod_p(u, v, p, 99)
             if first_zero is None:
                 assert prun.ok
-                n_cmp = len(rb)
             else:
                 assert not prun.ok
                 assert prun.failure.index == first_zero
                 assert prun.failure.cause == BETA_ZERO
-                n_cmp = first_zero
-            assert list(prun.betas)[:n_cmp] == rb[:n_cmp]
-            # the alpha list can be one entry shorter when the failure index
-            # has the form 3k+5; whatever was recorded must match
-            assert list(prun.alphas) == ra[: len(prun.alphas)]
+            assert list(prun.betas) == rb
+            # the alpha list is one entry shorter when the failure index
+            # has the form 3k+5
+            ra = [reduce_mod(a, p) for a in qrun.alphas[: len(prun.alphas)]]
+            assert list(prun.alphas) == ra
+            assert len(prun.alphas) == len(rb) - (len(rb) % 3 == 2)
             checked += 1
         assert checked == 6
+
+
+class TestRunModPEdges:
+    """run_mod_p records what RecurrenceRun records: it always seeds through
+    index 3 and extends to the block boundary of max(n, 3), so a failure in
+    (n, boundary] still shows."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_death_at_two(self, n):
+        run = run_mod_p(1, 1, 7, n)
+        assert run.failure == Failure(2, BETA_ZERO)
+        assert run.alphas == (6,) and run.betas == (1, 0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_death_at_three(self, n):
+        run = run_mod_p(1, 3, 5, n)
+        assert run.failure == Failure(3, BETA_ZERO)
+        assert run.alphas == (4, 2, 4) and run.betas == (1, 3, 0)
+
+    def test_death_at_3k_plus_5_past_n(self):
+        # (3, 3) mod 11 dies at 8 = 3*1 + 5, inside (7, 9]: alpha_8 is absent
+        run = run_mod_p(3, 3, 11, 7)
+        assert run.failure == Failure(8, BETA_ZERO)
+        assert run.alphas == (8, 2, 1, 8, 10, 4, 8)
+        assert run.betas == (1, 6, 1, 1, 5, 7, 6, 0)
+        assert first_beta_zero(3, 3, 11, 7) is None
+        assert first_beta_zero(3, 3, 11, 8) == 8
+
+    def test_residues_and_composite_modulus(self):
+        run = run_mod_p(-6, 12, 11, 3)
+        assert (run.u, run.v) == (5, 1)
+        assert run.betas == run_mod_p(5, 1, 11, 3).betas
+        with pytest.raises(ValueError):
+            run_mod_p(1, 2, 9, 3)
