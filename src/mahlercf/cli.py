@@ -33,6 +33,10 @@ EXIT_USAGE = 64
 
 _CONFIG_KEYS = ("horizon", "blocks", "jobs", "primes_max", "depth_cap")
 
+# Largest recurrence length and scan horizon: a run keeps its O(n) history,
+# and `recurrence -p 11 -n 10**6` on a survivor already peaks at ~230 MB.
+MAX_HORIZON = 10**6
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -103,6 +107,11 @@ def _require_prime(p: int) -> None:
         raise SystemExit(str(exc))
 
 
+def _require_horizon(flag: str, n: int) -> None:
+    if n > MAX_HORIZON:
+        raise SystemExit(f"{flag} {n} is above the limit of {MAX_HORIZON}")
+
+
 def _residue(name: str, x: Fraction, p: int) -> int:
     """x reduced mod p; a usage error when p divides its denominator."""
     if x.denominator % p == 0:
@@ -116,6 +125,7 @@ def _residue(name: str, x: Fraction, p: int) -> int:
 
 def cmd_recurrence(args, cfg) -> int:
     n = args.n
+    _require_horizon("-n", n)
     if args.p is None:
         run = recurrence.run_over_q(args.u, args.v, n)
         u, v, field = str(args.u), str(args.v), "Q"
@@ -245,6 +255,7 @@ def cmd_check(args, cfg) -> int:
 
 def cmd_scan(args, cfg) -> int:
     horizon = _setting(args, cfg, "horizon", search.DEFAULT_HORIZON)
+    _require_horizon("-N", horizon)
     jobs = _setting(args, cfg, "jobs", 1)
     results = search.scan_range(args.p_min, args.p_max, horizon, jobs=jobs)
     if args.format == "csv":
@@ -360,7 +371,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("-u", type=_fraction, required=True, help="u (exact rational; use -u=-2/3 for negatives)")
     sp.add_argument("-v", type=_fraction, required=True, help="v (exact rational)")
     sp.add_argument("-p", type=int, help="work in F_p instead of Q")
-    sp.add_argument("-n", type=_positive, required=True, help="indices to compute (>= 3)")
+    sp.add_argument("-n", type=_positive, required=True,
+                    help=f"entries to print (1..{MAX_HORIZON}); the run covers whole blocks of "
+                    "three through index max(n, 3) and reports a zero beta anywhere in them")
     common(sp)
     sp.set_defaults(fn=cmd_recurrence)
 
@@ -386,7 +399,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--p-min", dest="p_min", type=_positive, required=True)
     sp.add_argument("--p-max", dest="p_max", type=_positive, required=True)
     sp.add_argument("-N", dest="horizon", type=_positive,
-                    help=f"survivor horizon (default {search.DEFAULT_HORIZON})")
+                    help=f"survivor horizon (default {search.DEFAULT_HORIZON}, at most {MAX_HORIZON})")
     sp.add_argument("--jobs", type=_positive, help="parallel shards (default 1)")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     common(sp)

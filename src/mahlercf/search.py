@@ -82,9 +82,9 @@ def scan_range(p_min: int, p_max: int, max_index: int = DEFAULT_HORIZON,
                jobs: int = 1) -> list[ScanResult]:
     """scan_prime for every prime in [p_min, p_max], ascending.
 
-    Primes are independent shards; with jobs > 1 they run on a thread pool
-    (numpy releases the GIL inside its array operations) and results are
-    ordered by p regardless.
+    Primes are independent shards; with jobs > 1 they run on a thread pool,
+    ordered by p, so the output is identical to a serial run. A scan is pure
+    Python and holds the GIL, so more jobs give no speedup.
     """
     primes = primes_between(max(3, p_min), p_max)
     if jobs <= 1 or len(primes) <= 1:

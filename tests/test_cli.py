@@ -1,19 +1,23 @@
 """CLI contract: JSON documents, exit codes, CSV output."""
 
 import csv
+import hashlib
 import io
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from mahlercf import recurrence, search
 from mahlercf.cli import (
     EXIT_MATH_FAILURE,
     EXIT_NEGATIVE,
     EXIT_NO_PRECISION,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_HORIZON,
     main,
 )
 
@@ -27,6 +31,25 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+def refused_before_any_run(monkeypatch, capsys, argv, *run_functions):
+    """main(argv) exits 64 naming the limit, never calls the run functions
+    and allocates almost nothing; returns stderr."""
+    for module, name in run_functions:
+        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("a run started"))
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert f"limit of {MAX_HORIZON}" in captured.err
+    assert peak < 1_000_000
+    return captured.err
 
 
 class TestRecurrence:
@@ -76,6 +99,22 @@ class TestRecurrence:
         captured = capsys.readouterr()
         assert code == EXIT_USAGE
         assert "p must be a prime >= 3, got 9" in captured.err
+
+    @pytest.mark.parametrize("field", [[], ["-p", "11"]])
+    def test_length_above_limit_is_usage_error(self, monkeypatch, capsys, field):
+        err = refused_before_any_run(
+            monkeypatch, capsys,
+            ["recurrence", "-u=5", "-v=1", *field, "-n", str(MAX_HORIZON + 1)],
+            (recurrence, "run_over_q"), (recurrence, "run_mod_p"),
+        )
+        assert f"-n {MAX_HORIZON + 1}" in err
+
+    def test_length_at_limit_is_accepted(self, capsys):
+        # (0, 1) dies at 20 mod 5, so the full-length request costs nothing
+        code, doc = run_json(capsys, "recurrence", "-u=0", "-v=1", "-p", "5",
+                             "-n", str(MAX_HORIZON))
+        assert code == EXIT_MATH_FAILURE
+        assert doc["status"] == {"failed_at": 20, "cause": "beta_zero"}
 
     def test_value_past_digit_limit_is_usage_error(self, capsys):
         # beta_1311 of (5, 1) over Q has a denominator of more than 4300 digits
@@ -148,6 +187,32 @@ class TestCheck:
 
 
 class TestScan:
+    # sha256 of the stdout of `scan --p-min 3 --p-max 13 -N 2000`: a change
+    # to the scan engine must not change these bytes
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "7d5f1b08a088528afbfcd66ec0cd42c7ce92e859919bba6da470409aaf6c9cae"),
+        ("csv", "f011697215ae6971f75834421f3f3628e917f1d0d728d525c373eea5924d89f8"),
+    ])
+    def test_pinned_output_bytes(self, capsys, fmt, digest):
+        code, out = run_cli(
+            capsys, "scan", "--p-min", "3", "--p-max", "13", "-N", "2000", "--format", fmt
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_horizon_above_limit_is_usage_error(self, monkeypatch, capsys, tmp_path):
+        argv = ["scan", "--p-min", "3", "--p-max", "50"]
+        err = refused_before_any_run(
+            monkeypatch, capsys, [*argv, "-N", str(MAX_HORIZON + 1)],
+            (search, "scan_range"),
+        )
+        assert f"-N {MAX_HORIZON + 1}" in err
+        cfg = tmp_path / "mahlercf.cfg"
+        cfg.write_text(f"horizon = {10 * MAX_HORIZON}\n")
+        refused_before_any_run(
+            monkeypatch, capsys, [*argv, "--config", str(cfg)], (search, "scan_range"),
+        )
+
     def test_json_summary_clean(self, capsys):
         code, doc = run_json(
             capsys, "scan", "--p-min", "3", "--p-max", "13", "-N", "2000"

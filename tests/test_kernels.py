@@ -1,7 +1,11 @@
 """The int engine against independent code: the Fraction run reduced mod p
-for single runs, per-pair runs for the batch scan, and a direct membership
-probe for the coverage count."""
+for single runs, per-pair runs at every u for the scan (which runs half the
+rows and mirrors them across u -> -u), the parity in u that the mirror rests
+on, and a direct membership probe for the coverage count."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from mahlercf import kernels, search
@@ -32,19 +36,43 @@ def test_history_matches_field_elements():
                 assert alphas[1:] == ra, (u, v, p)
 
 
+def test_run_over_q_is_even_in_betas_and_odd_in_alphas():
+    # the fact scan_grid's mirror across u -> -u rests on, for rational u too
+    n = 60
+    for u in {Fraction(a, b) for a in range(7) for b in (1, 2, 3, 5)}:
+        for v in [Fraction(x, 2) for x in range(-8, 9)]:
+            plus, minus = run_over_q(u, v, n), run_over_q(-u, v, n)
+            assert minus.failure == plus.failure, (u, v)
+            assert minus.betas == plus.betas, (u, v)
+            assert minus.alphas == tuple(-a for a in plus.alphas), (u, v)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 97])
+def test_run_history_is_even_in_betas_and_odd_in_alphas(p):
+    for u in range(p // 2 + 1):
+        for v in range(p):
+            alphas, betas, fail, cause = kernels.run_history(u, v, p, 300)
+            m_alphas, m_betas, m_fail, m_cause = kernels.run_history(-u, v, p, 300)
+            assert (m_fail, m_cause) == (fail, cause), (u, v, p)
+            assert m_betas == betas, (u, v, p)
+            assert m_alphas[1:] == [-a % p for a in alphas[1:]], (u, v, p)
+
+
 def _per_pair_grid(p, n):
     return [[kernels.first_zero(u, v, p, n) for v in range(p)] for u in range(p)]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_scan_grid_matches_per_pair_runs(p):
+    # every row u is run directly here, so this checks the mirrored rows
     grid = kernels.scan_grid(p, 600)
-    assert grid.shape == (p, p)
+    assert grid.shape == (p, p) and grid.dtype == np.int32
     assert grid.tolist() == _per_pair_grid(p, 600)
 
 
 def test_scan_grid_full_horizon():
-    # exercises the batch scanner's grow/compact cycles all the way out
+    # every row u is run directly here, so this checks the mirrored rows of
+    # scan_grid out to a far horizon
     assert kernels.scan_grid(13, 10_000).tolist() == _per_pair_grid(13, 10_000)
 
 
