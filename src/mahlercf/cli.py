@@ -34,8 +34,14 @@ EXIT_USAGE = 64
 _CONFIG_KEYS = ("horizon", "blocks", "jobs", "primes_max", "depth_cap")
 
 # Largest recurrence length and scan horizon: a run keeps its O(n) history,
-# and `recurrence -p 11 -n 10**6` on a survivor already peaks at ~230 MB.
+# and `recurrence -n 10**6` on a survivor already peaks at ~230 MB at p = 11
+# and ~325 MB at p = 10**9 + 7, where residues rarely repeat and the run's
+# inverse memo keeps ~2 entries per block.
 MAX_HORIZON = 10**6
+
+# Largest coverage grid, in cells: `density -B` marks a (2B+1)^2 byte grid
+# (~40 GB at B = 10**5), so this admits B <= 4999 at ~100 MB.
+MAX_DENSITY_CELLS = 10**8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -286,6 +292,13 @@ def cmd_scan(args, cfg) -> int:
 
 
 def cmd_density(args, cfg) -> int:
+    if args.B < 0:
+        raise SystemExit(f"-B {args.B} must be >= 0")
+    cells = (2 * args.B + 1) ** 2
+    if cells > MAX_DENSITY_CELLS:
+        raise SystemExit(
+            f"-B {args.B} needs a grid of {cells} cells, above the limit of {MAX_DENSITY_CELLS}"
+        )
     primes_max = _setting(args, cfg, "primes_max", 1000)
     jobs = _setting(args, cfg, "jobs", 1)
     report = search.density(args.B, primes_max, jobs=jobs)
@@ -406,7 +419,8 @@ def _build_parser() -> _Parser:
     sp.set_defaults(fn=cmd_scan)
 
     sp = sub.add_parser("density", help="covered fraction of integer pairs in [-B, B]^2")
-    sp.add_argument("-B", type=int, required=True)
+    sp.add_argument("-B", type=int, required=True,
+                    help=f"box half-width (0 <= B, (2B+1)^2 at most {MAX_DENSITY_CELLS} cells)")
     sp.add_argument("--primes-max", dest="primes_max", type=_positive)
     sp.add_argument("--jobs", type=_positive)
     common(sp)

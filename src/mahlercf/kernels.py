@@ -2,8 +2,13 @@
 and the integer-grid coverage count.
 
 One engine: every mod-p run, single or in a scan, is the scalar loop
-``run_history`` on Python ints, which cannot overflow. The coverage count
-marks each condition pair's lattice in a boolean grid with strided slices.
+``run_history`` on Python ints, which cannot overflow. Its two inversions
+per block go through a memo that lives for one call: one ``pow`` per
+distinct divisor, at most two entries per block. A survivor at a small p
+meets a handful of distinct betas, so nearly every inversion is a lookup;
+at a large p, where residues rarely repeat, the memo saves nothing and
+costs memory and a little time. The coverage count marks each condition
+pair's lattice in a boolean grid with strided slices.
 
 A scan runs half of F_p^2, since every beta_i is even in u and every
 alpha_i odd. The seeds are, and each block step keeps it: beta_{3k+4} and
@@ -34,6 +39,20 @@ def get_backend() -> str:
     return "numpy"
 
 
+class _Inverses(dict):
+    """Inverses mod p by residue, each computed by ``pow`` on first lookup."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: int):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, x: int) -> int:
+        y = self[x] = pow(x, -1, self.p)
+        return y
+
+
 def run_history(u: int, v: int, p: int, n: int):
     """Mod-p recurrence history to the block boundary >= max(n, 3), or to
     the first failure.
@@ -43,6 +62,12 @@ def run_history(u: int, v: int, p: int, n: int):
     vanished. They hold exactly what RecurrenceRun records: a zero beta is
     kept at its index, alpha_{3k+5} is absent when beta_{3k+5} is the zero,
     and a zero divisor halts after alpha_{3k+4}, before beta_{3k+4}.
+
+    The two inversions of a block go through a memo that lives for this
+    call only, so each distinct divisor costs one ``pow``: a survivor meets
+    few distinct betas and repeats nearly every inversion. The memo holds at
+    most two entries per block; at a large p, where residues rarely repeat,
+    it costs memory and a little time instead of saving it.
     """
     u %= p
     v %= p
@@ -55,29 +80,34 @@ def run_history(u: int, v: int, p: int, n: int):
     betas.append((u * u + u ** 4 + v ** 3 - 3 * u * u * v) * dinv * dinv % p)
     if betas[3] == 0:
         return alphas, betas, 3, CAUSE_BETA_ZERO
+    inv = _Inverses(p)
+    c = (u * u - v) % p
+    uv = u * v
+    neg_u = -u % p
     k = 0
-    while 3 * k + 3 < n:
-        alphas.append(-u % p)
-        denom = betas[3 * k + 3] * betas[3 * k + 2] % p
+    i = 3  # = 3k + 3, the last index of the previous block
+    while i < n:
+        alphas.append(neg_u)
+        denom = betas[i] * betas[i - 1] % p
         if denom == 0:
-            return alphas, betas, 3 * k + 4, CAUSE_DIV_ZERO
-        b4 = betas[k + 2] * pow(denom, -1, p) % p
+            return alphas, betas, i + 1, CAUSE_DIV_ZERO
+        b4 = betas[k + 2] * inv[denom] % p
         betas.append(b4)
         if b4 == 0:
-            return alphas, betas, 3 * k + 4, CAUSE_BETA_ZERO
-        b5 = (u * u - v - b4) % p
+            return alphas, betas, i + 1, CAUSE_BETA_ZERO
+        b5 = (c - b4) % p
         betas.append(b5)
         if b5 == 0:
-            return alphas, betas, 3 * k + 5, CAUSE_BETA_ZERO
-        a5 = (alphas[k + 2] + u * v - alphas[3 * k + 2] * b4) % p
-        a5 = (u - a5 * pow(b5, -1, p)) % p
+            return alphas, betas, i + 2, CAUSE_BETA_ZERO
+        a5 = (u - (alphas[k + 2] + uv - alphas[i - 1] * b4) * inv[b5]) % p
         a6 = (u - a5) % p
         alphas += (a5, a6)
         b6 = (v - a5 * a6) % p
         betas.append(b6)
         if b6 == 0:
-            return alphas, betas, 3 * k + 6, CAUSE_BETA_ZERO
+            return alphas, betas, i + 3, CAUSE_BETA_ZERO
         k += 1
+        i += 3
     return alphas, betas, 0, OK
 
 

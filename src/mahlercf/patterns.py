@@ -247,6 +247,8 @@ def expected_sequences(spec: LemmaSpec, n: int) -> tuple[list[int], list[int]]:
 def check_run_against(spec: LemmaSpec, alphas, betas, n: int) -> Optional[Violation]:
     """First index where the run deviates from the family pattern, if any."""
     exp_a, exp_b = expected_sequences(spec, n)
+    if alphas[1 : n + 1] == exp_a[1:] and betas[1 : n + 1] == exp_b[1:]:
+        return None
     for i in range(1, n + 1):
         if int(alphas[i]) != exp_a[i]:
             return Violation(i, "alpha", exp_a[i], int(alphas[i]))

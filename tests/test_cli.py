@@ -17,6 +17,7 @@ from mahlercf.cli import (
     EXIT_NO_PRECISION,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_DENSITY_CELLS,
     MAX_HORIZON,
     main,
 )
@@ -33,9 +34,10 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
-def refused_before_any_run(monkeypatch, capsys, argv, *run_functions):
-    """main(argv) exits 64 naming the limit, never calls the run functions
-    and allocates almost nothing; returns stderr."""
+def refused_before_any_run(monkeypatch, capsys, argv, *run_functions,
+                           expect=f"limit of {MAX_HORIZON}"):
+    """main(argv) exits 64 with ``expect`` on stderr, never calls the run
+    functions and allocates almost nothing; returns stderr."""
     for module, name in run_functions:
         monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("a run started"))
     tracemalloc.start()
@@ -47,7 +49,7 @@ def refused_before_any_run(monkeypatch, capsys, argv, *run_functions):
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.out == ""
-    assert f"limit of {MAX_HORIZON}" in captured.err
+    assert expect in captured.err
     assert peak < 1_000_000
     return captured.err
 
@@ -243,6 +245,32 @@ class TestDensity:
         assert code == EXIT_OK
         assert doc["total"] == 25 * 25
         assert Fraction(doc["fraction"]) == Fraction(doc["covered"], doc["total"])
+
+    def test_negative_bound_is_usage_error(self, monkeypatch, capsys):
+        err = refused_before_any_run(
+            monkeypatch, capsys, ["density", "-B", "-1", "--primes-max", "10"],
+            (search, "density"), expect="-B -1 must be >= 0",
+        )
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bound", [5_000, 10**5])
+    def test_grid_above_limit_is_usage_error(self, monkeypatch, capsys, bound):
+        cells = (2 * bound + 1) ** 2
+        refused_before_any_run(
+            monkeypatch, capsys, ["density", "-B", str(bound), "--primes-max", "10"],
+            (search, "density"),
+            expect=f"-B {bound} needs a grid of {cells} cells, above the limit of {MAX_DENSITY_CELLS}",
+        )
+
+    def test_largest_grid_is_accepted(self, monkeypatch, capsys):
+        # 4999 is the largest B whose (2B+1)^2 grid fits the limit; the run
+        # itself is stubbed, since it would mark a ~100 MB grid
+        monkeypatch.setattr(
+            search, "density", lambda b, m, jobs: search.DensityReport(b, m, (2 * b + 1) ** 2, 0)
+        )
+        code, doc = run_json(capsys, "density", "-B", "4999", "--primes-max", "10")
+        assert code == EXIT_OK
+        assert doc["total"] == 9999 ** 2 <= MAX_DENSITY_CELLS < 10001 ** 2
 
 
 class TestVerifyLemma:

@@ -1,15 +1,131 @@
 """The int engine against independent code: the Fraction run reduced mod p
-for single runs, per-pair runs at every u for the scan (which runs half the
-rows and mirrors them across u -> -u), the parity in u that the mirror rests
-on, and a direct membership probe for the coverage count."""
+for single runs, a plain loop with a ``pow`` per inversion for the memoised
+kernel, per-pair runs at every u for the scan (which runs half the rows and
+mirrors them across u -> -u), the parity in u that the mirror rests on, and
+a direct membership probe for the coverage count."""
 
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mahlercf import kernels, search
+from mahlercf.fields import primes_between
 from mahlercf.recurrence import run_over_q
+
+
+def reference_run_history(u, v, p, n):
+    """run_history as a plain loop: two ``pow`` inversions per block, no memo."""
+    u %= p
+    v %= p
+    alphas = [0, -u % p]
+    betas = [0, 1, (u * u - v) % p]
+    if betas[2] == 0:
+        return alphas, betas, 2, kernels.CAUSE_BETA_ZERO
+    dinv = pow(v - u * u, -1, p)
+    alphas += (u * (2 * v - 1 - u * u) * dinv % p, -u * (v - 1) * dinv % p)
+    betas.append((u * u + u ** 4 + v ** 3 - 3 * u * u * v) * dinv * dinv % p)
+    if betas[3] == 0:
+        return alphas, betas, 3, kernels.CAUSE_BETA_ZERO
+    k = 0
+    while 3 * k + 3 < n:
+        alphas.append(-u % p)
+        denom = betas[3 * k + 3] * betas[3 * k + 2] % p
+        if denom == 0:
+            return alphas, betas, 3 * k + 4, kernels.CAUSE_DIV_ZERO
+        b4 = betas[k + 2] * pow(denom, -1, p) % p
+        betas.append(b4)
+        if b4 == 0:
+            return alphas, betas, 3 * k + 4, kernels.CAUSE_BETA_ZERO
+        b5 = (u * u - v - b4) % p
+        betas.append(b5)
+        if b5 == 0:
+            return alphas, betas, 3 * k + 5, kernels.CAUSE_BETA_ZERO
+        a5 = (alphas[k + 2] + u * v - alphas[3 * k + 2] * b4) % p
+        a5 = (u - a5 * pow(b5, -1, p)) % p
+        a6 = (u - a5) % p
+        alphas += (a5, a6)
+        b6 = (v - a5 * a6) % p
+        betas.append(b6)
+        if b6 == 0:
+            return alphas, betas, 3 * k + 6, kernels.CAUSE_BETA_ZERO
+        k += 1
+    return alphas, betas, 0, kernels.OK
+
+
+class TestRunHistoryAgainstReference:
+    def test_random_small_primes(self):
+        rng = random.Random(20261018)
+        primes = primes_between(3, 300)
+        for _ in range(6000):
+            p = rng.choice(primes)
+            u, v = rng.randrange(-2 * p, 2 * p), rng.randrange(-2 * p, 2 * p)
+            n = rng.choice((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 50, 300, 1000))
+            assert kernels.run_history(u, v, p, n) == reference_run_history(u, v, p, n), (u, v, p, n)
+
+    @pytest.mark.parametrize("p", primes_between(3, 23))
+    def test_every_pair(self, p):
+        for n in (1, 2, 3, 4, 5, 6, 7, 8, 100, 2000):
+            for u in range(p):
+                for v in range(p):
+                    assert kernels.run_history(u, v, p, n) == reference_run_history(u, v, p, n), (u, v, n)
+
+    @pytest.mark.parametrize("p", [10**9 + 7, 2**61 - 1])
+    def test_large_primes(self, p):
+        # residues rarely repeat here, so nearly every lookup misses the memo
+        rng = random.Random(p)
+        for _ in range(40):
+            u, v = rng.randrange(p), rng.randrange(p)
+            assert kernels.run_history(u, v, p, 300) == reference_run_history(u, v, p, 300), (u, v)
+
+
+class TestNoInverseLeaksBetweenRuns:
+    """Inverses are valid for one p and one call only: the same residues run
+    at two primes back to back, and on threads at once, must each equal the
+    plain loop."""
+
+    PAIRS = [(u, v) for u in range(7) for v in range(7)]
+    N = 600
+
+    def _check(self, p):
+        for u, v in self.PAIRS:
+            assert kernels.run_history(u, v, p, self.N) == reference_run_history(u, v, p, self.N), (u, v, p)
+
+    def test_back_to_back_primes(self):
+        self._check(7)
+        self._check(11)
+        self._check(7)
+
+    def test_concurrent_threads(self):
+        # two threads per prime, more than the cores of a small machine
+        primes = (7, 11, 7, 11)
+        errors = []
+        start = threading.Barrier(len(primes), timeout=60)
+
+        def worker(p):
+            try:
+                start.wait()
+                for _ in range(10):
+                    self._check(p)
+            except Exception as exc:  # a wrong answer, or pow raising on a stale p
+                errors.append(exc)
+
+        # switch threads often, so that runs at the two primes interleave
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(p,)) for p in primes]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
 
 def test_history_matches_field_elements():
