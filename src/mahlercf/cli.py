@@ -154,14 +154,18 @@ def cmd_recurrence(args, cfg) -> int:
 def _extract_with_retry(u, v, terms: int, depth_cap: int):
     """expand + extract, doubling depth on InsufficientDepth up to the cap.
 
-    Returns (cf, depth). Raises InsufficientDepth once the cap is hit.
+    Returns (cf, depth). Raises InsufficientDepth once the cap is hit, or at
+    once when the quotients certified before a zero remainder are all of g
+    (a rational g): every deeper depth then raises the same refusal.
     """
     depth = 2 * terms + 4
     while True:
         try:
             return laurent.cf_extract(laurent.expand_g(u, v, depth), terms), depth
-        except InsufficientDepth:
-            if depth >= depth_cap:
+        except InsufficientDepth as exc:
+            if depth >= depth_cap or (
+                exc.certified is not None and laurent.convergent_is_g(u, v, exc.certified)
+            ):
                 raise
             depth = min(2 * depth, depth_cap)
 

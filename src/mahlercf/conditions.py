@@ -12,7 +12,8 @@ Case table (p >= 3 prime; phi/delta are roots of the stated polynomials):
     C6  u = 0,          v = +-delta    delta^2 + delta + 1 = 0
     C7  u = +-2 delta^2, v = delta     delta^2 + delta + 1 = 0, p != 3
 
-Root finding is exhaustive over F_p (cheap at these sizes). Enumeration
+Every polynomial above is a quadratic in x or in x^2, so its roots are
+square roots mod p (fields.poly_roots_mod_p, by Tonelli-Shanks). Enumeration
 (iter_witnesses, from the roots) and decision (check_pair, direct residue
 tests) are two separate code paths; tests/test_conditions.py checks that
 they agree on all of F_p^2 for every prime p < 50.

@@ -4,9 +4,10 @@ Rationals are ``fractions.Fraction`` (always lowest terms, positive
 denominator); every exact run works in them. Mod-p work has no scalar type
 of its own: the kernels step plain int residues. This module supplies what
 they share: primality, the odd-prime check, a prime sieve and root finding
-mod p. Root finding is brute force: every polynomial we care about has
-degree <= 4 and p stays small, so O(p) per polynomial is cheap and leaves no
-room for algorithmic bugs.
+mod p. Primality is a deterministic Miller-Rabin test below a fixed limit.
+Root finding is by formula: every polynomial of the case table is a
+quadratic in x or in x^2, so its roots are square roots mod p, found by
+Tonelli-Shanks in O(log^2 p) multiplications.
 """
 
 from __future__ import annotations
@@ -14,27 +15,46 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-
-import numpy as np
+from itertools import compress
 
 # The rational scalar type of every exact run.
 ExactRational = Fraction
 
+# Strong-probable-prime tests to the 13 primes 2..41 decide primality for
+# every n below this limit (Sorenson & Webster, Math. Comp. 86, 2017); it is
+# the least composite that passes all 13.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_LIMIT = 3_317_044_064_679_887_385_961_981
+
 
 @functools.lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (intended range n <= 10^9)."""
+    """Deterministic primality by Miller-Rabin to the bases 2..41.
+
+    Raises ValueError for an n >= PRIMALITY_LIMIT without a factor <= 41,
+    where those bases no longer decide.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= PRIMALITY_LIMIT:
+        raise ValueError(f"primality is decided only below {PRIMALITY_LIMIT}, got {n}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -42,12 +62,13 @@ def primes_between(lo: int, hi: int) -> list[int]:
     """All primes p with lo <= p <= hi, ascending."""
     if hi < 2:
         return []
-    sieve = np.ones(hi + 1, dtype=bool)
-    sieve[:2] = False
+    sieve = bytearray([1]) * (hi + 1)
+    sieve[:2] = b"\0\0"
     for q in range(2, math.isqrt(hi) + 1):
         if sieve[q]:
-            sieve[q * q :: q] = False
-    return [int(q) for q in np.nonzero(sieve)[0] if q >= lo]
+            sieve[q * q :: q] = bytes(len(range(q * q, hi + 1, q)))
+    lo = max(lo, 0)
+    return list(compress(range(lo, hi + 1), sieve[lo:]))
 
 
 def check_odd_prime(p: int) -> None:
@@ -67,16 +88,59 @@ def as_scalar(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-def poly_roots_mod_p(coeffs, p: int) -> set[int]:
-    """All x in [0, p) with sum(coeffs[i] * x^i) == 0 mod p, by exhaustive scan.
+def _square_roots(a: int, p: int) -> set[int]:
+    """Both square roots of a mod the odd prime p (one for a = 0, none for a
+    non-residue), by Tonelli-Shanks."""
+    a %= p
+    if a == 0:
+        return {0}
+    if pow(a, (p - 1) // 2, p) != 1:
+        return set()
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)  # invariant: r^2 = a t
+    if t != 1:
+        z = 2
+        while pow(z, (p - 1) // 2, p) == 1:
+            z += 1
+        c, m = pow(z, q, p), s  # c has order 2^m, t order 2^i with i < m
+        while t != 1:
+            i, t2 = 1, t * t % p
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (m - i - 1), p)
+            c, m = b * b % p, i
+            t, r = t * c % p, r * b % p
+    return {r, p - r}
 
-    coeffs are integers, ascending by degree, degree <= 4 after reduction
-    mod p. The brute-force budget is p <= 10^6.
+
+def _quadratic_roots(c: list[int], p: int) -> set[int]:
+    """Roots mod p of c[0] + c[1] x (+ c[2] x^2), leading coefficient nonzero."""
+    if len(c) == 1:
+        return set()
+    if len(c) == 2:
+        return {-c[0] * pow(c[1], -1, p) % p}
+    c0, c1, c2 = c
+    inv = pow(2 * c2, -1, p)
+    return {(r - c1) * inv % p for r in _square_roots(c1 * c1 - 4 * c0 * c2, p)}
+
+
+def poly_roots_mod_p(coeffs, p: int) -> set[int]:
+    """All x in [0, p) with sum(coeffs[i] * x^i) == 0 mod p, by formula.
+
+    coeffs are integers, ascending by degree. After reduction mod p the
+    polynomial must be a quadratic in x or in x^2 (degree <= 2, or an even
+    quartic), the only shapes of the case table; anything else raises
+    ValueError. A quadratic is solved by its discriminant's square roots, an
+    even quartic as a quadratic in y = x^2 followed by the square roots of
+    each y. p must be an odd prime <= 10^6.
     """
-    if not is_prime(p) or p < 2:
-        raise ValueError(f"p must be prime, got {p}")
+    check_odd_prime(p)
     if p > 10**6:
-        raise ValueError(f"brute-force root finding capped at p = 10^6, got {p}")
+        raise ValueError(f"root finding capped at p = 10^6, got {p}")
     reduced = [c % p for c in coeffs]
     while reduced and reduced[-1] == 0:
         reduced.pop()
@@ -85,8 +149,8 @@ def poly_roots_mod_p(coeffs, p: int) -> set[int]:
     if not reduced:
         # zero polynomial: everything is a root
         return set(range(p))
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in reversed(reduced):
-        acc = (acc * xs + c) % p
-    return {int(x) for x in np.nonzero(acc == 0)[0]}
+    if len(reduced) <= 3:
+        return _quadratic_roots(reduced, p)
+    if len(reduced) == 4 or any(reduced[1::2]):
+        raise ValueError(f"{reduced} mod {p} is not a quadratic in x or in x^2")
+    return {x for y in _quadratic_roots(reduced[::2], p) for x in _square_roots(y, p)}

@@ -8,7 +8,9 @@ distinct divisor, at most two entries per block. A survivor at a small p
 meets a handful of distinct betas, so nearly every inversion is a lookup;
 at a large p, where residues rarely repeat, the memo saves nothing and
 costs memory and a little time. The coverage count marks each condition
-pair's lattice in a boolean grid with strided slices.
+pair's lattice in a boolean grid with strided slices. numpy is imported
+only inside the two kernels whose product is an array, ``scan_grid`` and
+``density_count``; importing this module loads none.
 
 A scan runs half of F_p^2, since every beta_i is even in u and every
 alpha_i odd. The seeds are, and each block step keeps it: beta_{3k+4} and
@@ -27,7 +29,10 @@ betas are nonzero).
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy
 
 OK = 0
 CAUSE_BETA_ZERO = 1
@@ -117,12 +122,14 @@ def first_zero(u: int, v: int, p: int, max_index: int) -> int:
     return idx if 0 < idx <= max_index else 0
 
 
-def scan_grid(p: int, n: int) -> np.ndarray:
+def scan_grid(p: int, n: int) -> numpy.ndarray:
     """First-zero index for every pair in F_p^2 (0 = survivor), shape (p, p).
 
     Rows u <= (p - 1)/2 run pair by pair through ``first_zero``; row -u
     mod p is the same row, by the parity in u of the module docstring.
     """
+    import numpy as np
+
     first = np.zeros((p, p), dtype=np.int32)
     for u in range(p // 2 + 1):
         first[u] = first[-u] = [first_zero(u, v, p, n) for v in range(p)]
@@ -137,6 +144,8 @@ def density_count(u_lo: int, u_hi: int, b: int, tables: dict) -> int:
     Each residue pair covers a lattice of the box, marked by one strided
     slice.
     """
+    import numpy as np
+
     covered = np.zeros((u_hi - u_lo + 1, 2 * b + 1), dtype=bool)
     for p, pairs in tables.items():
         for u0, v0 in pairs:

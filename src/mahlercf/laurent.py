@@ -32,7 +32,15 @@ from .fields import as_scalar
 
 
 class InsufficientDepth(ArithmeticError):
-    """The truncation floor is too shallow to certify the requested result."""
+    """The truncation floor is too shallow to certify the requested result.
+
+    ``certified`` is set when a remainder is zero to its floor: the
+    CFExpansion of the quotients certified before it.
+    """
+
+    def __init__(self, message: str, certified: CFExpansion | None = None):
+        super().__init__(message)
+        self.certified = certified
 
 
 class NeedTwoTerms(ValueError):
@@ -326,7 +334,9 @@ def cf_extract(g: LaurentSeries, max_terms: int) -> CFExpansion:
     for _ in range(max_terms):
         val = cur.known_valuation()
         if val is None:
-            raise InsufficientDepth("cannot invert a series that is zero to its floor")
+            raise InsufficientDepth(
+                "cannot invert a series that is zero to its floor", CFExpansion(a0, pairs)
+            )
         deg = prev.top_degree - val  # prev is trimmed: its top degree is its valuation
         # long division reads prev down to val and cur down to val - deg
         if prev.floor > val or cur.floor > val - deg:
@@ -363,6 +373,29 @@ def convergents(cf: CFExpansion, k: int):
         p_cur, p_prev = a * p_cur + p_prev.scale(beta), p_cur
         q_cur, q_prev = a * q_cur + q_prev.scale(beta), q_cur
     return p_cur, q_cur
+
+
+def _cubed(q: Polynomial) -> Polynomial:
+    """q(z^3)."""
+    out = [0] * (3 * q.degree + 1)
+    out[::3] = q.coeffs
+    return Polynomial(out)
+
+
+def convergent_is_g(u, v, cf: CFExpansion) -> bool:
+    """True when the last convergent P/Q of cf is g itself, a proof that
+    the continued fraction of g ends there.
+
+    g(z) = (z^2 + u z + v) g(z^3), and a solution led by z^-1 is unique: the
+    coefficient of z^(-1-m) on the right needs only those of degree above
+    -1-m. So P/Q is g when it is led by z^-1 and
+    P(z) Q(z^3) = (z^2 + u z + v) P(z^3) Q(z).
+    """
+    p, q = convergents(cf, len(cf))
+    if p.is_zero() or q.degree != p.degree + 1 or p.leading != q.leading:
+        return False
+    step = Polynomial([as_scalar(v), as_scalar(u), 1])
+    return p * _cubed(q) == step * _cubed(p) * q
 
 
 def convergent_denominator_degrees(cf: CFExpansion) -> list[int]:

@@ -19,12 +19,14 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import kernels
 from .conditions import satisfying_pairs
 from .fields import check_odd_prime, primes_between
+
+if TYPE_CHECKING:
+    import numpy
 
 DEFAULT_HORIZON = 10_000
 
@@ -35,12 +37,12 @@ class ScanResult:
 
     p: int
     max_index: int
-    first_zero: np.ndarray  # (p, p) int32; 0 marks a survivor
+    first_zero: numpy.ndarray  # (p, p) int32; 0 marks a survivor
     survivors: set = field(init=False)
     condition_pairs: set = field(init=False)
 
     def __post_init__(self):
-        us, vs = np.nonzero(self.first_zero == 0)
+        us, vs = (self.first_zero == 0).nonzero()
         self.survivors = {(int(u), int(v)) for u, v in zip(us, vs)}
         self.condition_pairs = set(satisfying_pairs(self.p))
 
@@ -129,12 +131,9 @@ def density(bound: int, prime_max: int, jobs: int = 1) -> DensityReport:
     if jobs <= 1:
         covered = kernels.density_count(-bound, bound, bound, tables)
     else:
-        edges = np.linspace(-bound, bound + 1, jobs + 1, dtype=np.int64)
-        slabs = [
-            (int(edges[i]), int(edges[i + 1]) - 1)
-            for i in range(jobs)
-            if edges[i] < edges[i + 1]
-        ]
+        # jobs near-equal u-row slabs that partition [-bound, bound]
+        edges = [-bound + (2 * bound + 1) * i // jobs for i in range(jobs + 1)]
+        slabs = [(lo, hi - 1) for lo, hi in zip(edges, edges[1:]) if lo < hi]
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             parts = pool.map(
                 lambda s: kernels.density_count(s[0], s[1], bound, tables),

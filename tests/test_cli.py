@@ -4,13 +4,15 @@ import csv
 import hashlib
 import io
 import json
+import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from mahlercf import recurrence, search
+from mahlercf import laurent, recurrence, search
 from mahlercf.cli import (
     EXIT_MATH_FAILURE,
     EXIT_NEGATIVE,
@@ -21,6 +23,7 @@ from mahlercf.cli import (
     MAX_HORIZON,
     main,
 )
+from mahlercf.fields import PRIMALITY_LIMIT
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +105,20 @@ class TestRecurrence:
         assert code == EXIT_USAGE
         assert "p must be a prime >= 3, got 9" in captured.err
 
+    @pytest.mark.parametrize("p", [PRIMALITY_LIMIT, 2**89 - 1])
+    def test_p_above_primality_limit_is_usage_error(self, monkeypatch, capsys, p):
+        refused_before_any_run(
+            monkeypatch, capsys, ["recurrence", "-u=1", "-v=2", "-p", str(p), "-n", "5"],
+            (recurrence, "run_mod_p"), expect=f"decided only below {PRIMALITY_LIMIT}",
+        )
+
+    def test_mersenne_61_modulus(self, capsys):
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "recurrence", "-u=123456789", "-v=987654321",
+                             "-p", str(2**61 - 1), "-n", "6")
+        assert code == EXIT_OK and doc["field"] == f"F_{2**61 - 1}"
+        assert time.perf_counter() - start < 0.5
+
     @pytest.mark.parametrize("field", [[], ["-p", "11"]])
     def test_length_above_limit_is_usage_error(self, monkeypatch, capsys, field):
         err = refused_before_any_run(
@@ -152,6 +169,48 @@ class TestCf:
         )
         assert code == EXIT_MATH_FAILURE
         assert doc["verdict"].startswith("RECURRENCE FAILED at 2")
+
+    # sha256 of the stdout of `cf`/`mu -n 101` for the three rational g:
+    # 1/(z - 1), 1/(z + 1) and 1/z
+    @pytest.mark.parametrize("command, u, v, digest", [
+        ("cf", "1", "1", "fdfde8210bc30b7a9941d026d93f0b857b5fd70e5b46ced55548ab63399bce3a"),
+        ("cf", "-1", "1", "d0d56a31246cc15f6c607410d421ca7913fee63bfe26d10fa348d8ce944cb916"),
+        ("cf", "0", "0", "77d6121e40fecde7d30314894c09fef7d5afe8f7b57eb1bc5745862eea9cce02"),
+        ("mu", "1", "1", "183c63dfe41ee652e2793a5104e1e4c87c7a6282ae30412fab230df0f37831e8"),
+        ("mu", "-1", "1", "183c63dfe41ee652e2793a5104e1e4c87c7a6282ae30412fab230df0f37831e8"),
+        ("mu", "0", "0", "183c63dfe41ee652e2793a5104e1e4c87c7a6282ae30412fab230df0f37831e8"),
+    ])
+    def test_rational_g_stops_at_first_depth(self, monkeypatch, capsys, command, u, v, digest):
+        # the refusal at depth 206 proves g rational, so the document, which
+        # names the cap, is printed without doubling the depth to 13184
+        depths = []
+        expand = laurent.expand_g
+        monkeypatch.setattr(
+            laurent, "expand_g", lambda u, v, depth: depths.append(depth) or expand(u, v, depth)
+        )
+        start = time.perf_counter()
+        code, out = run_cli(capsys, command, f"-u={u}", f"-v={v}", "-n", "101")
+        assert time.perf_counter() - start < 0.5
+        assert depths == [206]
+        assert code == (EXIT_MATH_FAILURE if command == "cf" else EXIT_NO_PRECISION)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_irrational_pair_doubles_to_cap(self, monkeypatch, capsys):
+        # (1, -2) meets a zero remainder at depth 28 after six quotients that
+        # are not g, and keeps doubling until the cap refuses
+        depths = []
+        expand = laurent.expand_g
+        monkeypatch.setattr(
+            laurent, "expand_g", lambda u, v, depth: depths.append(depth) or expand(u, v, depth)
+        )
+        code, doc = run_json(capsys, "cf", "-u=1", "-v=-2", "-n", "12", "--depth-cap", "56")
+        assert depths == [28, 56]
+        assert code == EXIT_MATH_FAILURE
+        assert doc["extraction"].startswith("depth exhausted at cap 56: floor above degree 0")
+        with pytest.raises(laurent.InsufficientDepth) as info:
+            laurent.cf_extract(expand(1, -2, 28), 12)
+        assert len(info.value.certified) == 6
+        assert not laurent.convergent_is_g(1, -2, info.value.certified)
 
     def test_nonlinear_quotient_exits_2(self, capsys):
         code, doc = run_json(capsys, "cf", "-u", "2", "-v", "4", "-n", "3")
@@ -322,8 +381,6 @@ class TestPlumbing:
         assert "usage: mahlercf cf" in captured.err
 
     def test_subprocess_entry_point(self):
-        import subprocess
-
         proc = subprocess.run(
             [sys.executable, "-m", "mahlercf.cli", "recurrence",
              "-u", "5", "-v", "1", "-p", "11", "-n", "9"],
@@ -331,6 +388,27 @@ class TestPlumbing:
         )
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["betas"] == [1, 2, 1, 1, 1, 1, 1, 1, 1]
+
+    def test_numpy_loaded_only_by_array_kernels(self, tmp_path):
+        # a fresh interpreter: importing the CLI and running the scalar
+        # commands loads no numpy; a scan does, and still returns an int32 grid
+        script = f"""
+import sys
+import mahlercf.cli as cli
+assert "numpy" not in sys.modules, "import"
+for argv in (["check", "-u", "2", "-v", "0", "-p", "7"],
+             ["check", "-u", "2", "-v=-2"],
+             ["cf", "-u", "2", "-v", "3", "-n", "5"],
+             ["recurrence", "-u", "5", "-v", "1", "-p", "11", "-n", "9"],
+             ["verify-lemma", "--lemma", "7", "-p", "7", "-K", "5"]):
+    cli.main([*argv, "--out", {str(tmp_path / "out")!r}])
+    assert "numpy" not in sys.modules, argv
+grid = cli.search.scan_prime(7, 100).first_zero
+import numpy
+assert isinstance(grid, numpy.ndarray) and grid.dtype == numpy.int32
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "run.json"

@@ -1,5 +1,7 @@
 """Scalar arithmetic: rationals, the odd-prime check, root finding, primality."""
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mahlercf.fields import (
+    PRIMALITY_LIMIT,
     ExactRational,
     as_scalar,
     check_odd_prime,
@@ -66,23 +69,67 @@ class TestPrimeField:
             check_odd_prime(p)
 
 
+def evaluate(coeffs, x, p):
+    return sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p
+
+
+def legendre(a, p):
+    a %= p
+    return 0 if a == 0 else 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+# the condition polynomials x^2 - 3, x^2 + 3, x^2 + x + 1, x^2 - x + 1 and
+# x^4 + 4x^2 + 1, then the C5 polynomials x^2 - 2 delta
+CASE_POLYNOMIALS = [[-3, 0, 1], [3, 0, 1], [1, 1, 1], [1, -1, 1], [1, 0, 4, 0, 1]] + [
+    [-2 * delta, 0, 1] for delta in (-1, 1, 2, 3, 7, 24, 49)
+]
+
+
 class TestPolyRoots:
     def test_examples(self):
         assert poly_roots_mod_p([-3, 0, 1], 11) == {5, 6}
         assert poly_roots_mod_p([1, 1, 1], 7) == {2, 4}
         assert poly_roots_mod_p([1, 1, 1], 5) == set()
 
-    @pytest.mark.parametrize("p", primes_between(3, 100))
-    @pytest.mark.parametrize(
-        "coeffs",
-        [[-3, 0, 1], [3, 0, 1], [1, 1, 1], [1, -1, 1], [1, 0, 4, 0, 1]],
-    )
+    # 257 and 65537 have p - 1 a power of two: Tonelli-Shanks runs its
+    # longest inner loop there
+    @pytest.mark.parametrize("p", primes_between(3, 100) + [257, 65537])
+    @pytest.mark.parametrize("coeffs", CASE_POLYNOMIALS)
     def test_exhaustive_agreement(self, p, coeffs):
         # independent oracle: direct evaluation at every residue
-        expect = {
-            x for x in range(p) if sum(c * x**i for i, c in enumerate(coeffs)) % p == 0
-        }
+        expect = {x for x in range(p) if evaluate(coeffs, x, p) == 0}
         assert poly_roots_mod_p(coeffs, p) == expect
+
+    @pytest.mark.parametrize("coeffs", CASE_POLYNOMIALS)
+    def test_large_two_adic_prime(self, coeffs):
+        # p - 1 = 3 * 2^18: the roots are checked and counted by Euler's
+        # criterion, not by scanning F_p
+        p = 786433
+
+        def count(c):
+            if len(c) == 3:  # a quadratic has 1 + (disc / p) roots
+                return 1 + legendre(c[1] ** 2 - 4 * c[0] * c[2], p)
+            # an even quartic: 1 + (y / p) roots over each root y of its
+            # quadratic in y = x^2
+            ys = poly_roots_mod_p(c[::2], p)
+            assert len(ys) == count(c[::2])
+            return sum(1 + legendre(y, p) for y in ys)
+
+        roots = poly_roots_mod_p(coeffs, p)
+        assert all(evaluate(coeffs, x, p) == 0 for x in roots)
+        assert len(roots) == count(coeffs)
+
+    def test_double_roots(self):
+        # x^2 + x + 1 = (x - 1)^2 mod 3, the one prime where C3's phi is double
+        assert poly_roots_mod_p([1, 1, 1], 3) == {1}
+        assert poly_roots_mod_p([1, 2, 1], 7) == {6}  # (x + 1)^2
+        assert poly_roots_mod_p([0, 0, 5], 7) == {0}
+        assert poly_roots_mod_p([0, 0, 0, 0, 1], 13) == {0}  # y = 0 is a double y-root
+        assert poly_roots_mod_p([4, 0, 4, 0, 1], 11) == {3, 8}  # (x^2 + 2)^2, -2 = 3^2
+
+    def test_linear_and_constant(self):
+        assert poly_roots_mod_p([3, 2], 7) == {2}
+        assert poly_roots_mod_p([3, 0, 7], 7) == set()
 
     def test_zero_polynomial(self):
         assert poly_roots_mod_p([7, 14], 7) == {0, 1, 2, 3, 4, 5, 6}
@@ -90,6 +137,23 @@ class TestPolyRoots:
     def test_degree_cap(self):
         with pytest.raises(ValueError):
             poly_roots_mod_p([1, 0, 0, 0, 0, 1], 7)
+
+    @pytest.mark.parametrize("coeffs", [[1, 0, 0, 1], [0, 1, 0, 0, 1], [1, 0, 1, 1, 1]])
+    def test_not_quadratic_in_x_or_x2(self, coeffs):
+        # x^3 + 1, x^4 + x, x^4 + x^3 + x^2 + 1
+        with pytest.raises(ValueError, match="not a quadratic in x or in x\\^2"):
+            poly_roots_mod_p(coeffs, 7)
+
+    def test_odd_part_vanishing_mod_p_is_accepted(self):
+        # x^4 + 7x + 4 is x^4 + 4 mod 7, an even quartic there
+        assert poly_roots_mod_p([4, 7, 0, 0, 1], 7) == {
+            x for x in range(7) if (x**4 + 4) % 7 == 0
+        }
+
+    @pytest.mark.parametrize("p", [2, 9, 10**6 + 3])
+    def test_modulus_refused(self, p):
+        with pytest.raises(ValueError):
+            poly_roots_mod_p([-3, 0, 1], p)
 
 
 class TestPrimality:
@@ -100,10 +164,32 @@ class TestPrimality:
 
     def test_against_trial_division(self):
         def oracle(n):
-            return n >= 2 and all(n % d for d in range(2, n))
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
-        for n in range(2, 600):
+        for n in range(-2, 10**5):
             assert is_prime(n) == oracle(n), n
+
+    @pytest.mark.parametrize("n", [561, 41041, 3215031751, 3825123056546413051])
+    def test_pseudoprimes_are_composite(self, n):
+        # Carmichael numbers, then strong pseudoprimes to the bases 2..7
+        # and 2..23
+        assert not is_prime(n)
+
+    def test_mersenne_61_is_fast(self):
+        start = time.perf_counter()
+        assert is_prime.__wrapped__(2**61 - 1)
+        assert time.perf_counter() - start < 0.01
+        assert not is_prime(2**61 + 1)
+
+    def test_limit(self):
+        # the limit is itself the least strong pseudoprime to all 13 bases
+        assert PRIMALITY_LIMIT == 1287836182261 * 2575672364521
+        for n in (PRIMALITY_LIMIT, 2**89 - 1):
+            with pytest.raises(ValueError, match=str(PRIMALITY_LIMIT)):
+                is_prime(n)
+            with pytest.raises(ValueError, match=str(PRIMALITY_LIMIT)):
+                check_odd_prime(n)
+        assert not is_prime(2 * PRIMALITY_LIMIT)  # a factor <= 41 still decides
 
     def test_primes_between(self):
         assert primes_between(3, 20) == [3, 5, 7, 11, 13, 17, 19]
