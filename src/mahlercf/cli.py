@@ -31,13 +31,16 @@ EXIT_MATH_FAILURE = 2
 EXIT_NO_PRECISION = 3
 EXIT_USAGE = 64
 
-_CONFIG_KEYS = ("horizon", "blocks", "jobs", "primes_max", "depth_cap")
-
 # Largest recurrence length and scan horizon: a run keeps its O(n) history,
-# and `recurrence -n 10**6` on a survivor already peaks at ~230 MB at p = 11
-# and ~325 MB at p = 10**9 + 7, where residues rarely repeat and the run's
-# inverse memo keeps ~2 entries per block.
+# and `recurrence -n 10**6` on a survivor peaks at ~215 MB at p = 11, ~311 MB
+# at p = 10**9 + 7 and ~414 MB at the largest admitted p, the largest prime
+# below PRIMALITY_LIMIT (82 bits), where residues rarely repeat and the
+# run's inverse memo keeps ~2 entries per block (peak RSS of a fresh process).
 MAX_HORIZON = 10**6
+
+# Largest `--primes-max` of `check` and `density`: condition_tables(10**6)
+# already takes ~14 s and holds 784140 pairs, and the sieve grows with it.
+MAX_PRIMES_MAX = 10**6
 
 # Largest coverage grid, in cells: `density -B` marks a (2B+1)^2 byte grid
 # (~40 GB at B = 10**5), so this admits B <= 4999 at ~100 MB.
@@ -64,6 +67,13 @@ def _positive(text: str) -> int:
     return n
 
 
+def _nonnegative(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return n
+
+
 def _emit(doc, args) -> None:
     text = doc if isinstance(doc, str) else json.dumps(doc, indent=2)
     if getattr(args, "out", None):
@@ -71,32 +81,6 @@ def _emit(doc, args) -> None:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _load_config(path: str | None) -> dict:
-    """Optional key=value file supplying defaults (horizon, blocks, jobs, ...)."""
-    if not path:
-        return {}
-    out = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line without '=': {raw.rstrip()}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}; known: {_CONFIG_KEYS}")
-            out[key] = int(value)
-    return out
-
-
-def _setting(args, cfg: dict, key: str, fallback: int) -> int:
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    return cfg.get(key, fallback)
 
 
 def _scalar_list(values):
@@ -113,9 +97,9 @@ def _require_prime(p: int) -> None:
         raise SystemExit(str(exc))
 
 
-def _require_horizon(flag: str, n: int) -> None:
-    if n > MAX_HORIZON:
-        raise SystemExit(f"{flag} {n} is above the limit of {MAX_HORIZON}")
+def _require_at_most(flag: str, n: int, limit: int) -> None:
+    if n > limit:
+        raise SystemExit(f"{flag} {n} is above the limit of {limit}")
 
 
 def _residue(name: str, x: Fraction, p: int) -> int:
@@ -129,9 +113,9 @@ def _residue(name: str, x: Fraction, p: int) -> int:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_recurrence(args, cfg) -> int:
+def cmd_recurrence(args) -> int:
     n = args.n
-    _require_horizon("-n", n)
+    _require_at_most("-n", n, MAX_HORIZON)
     if args.p is None:
         run = recurrence.run_over_q(args.u, args.v, n)
         u, v, field = str(args.u), str(args.v), "Q"
@@ -170,12 +154,22 @@ def _extract_with_retry(u, v, terms: int, depth_cap: int):
             depth = min(2 * depth, depth_cap)
 
 
-def cmd_cf(args, cfg) -> int:
+def _depth_cap(args) -> int:
+    """--depth-cap, by default 64 times the first depth tried."""
+    return 64 * (2 * args.n + 4) if args.depth_cap is None else args.depth_cap
+
+
+def cmd_cf(args) -> int:
     n = args.n
-    depth_cap = _setting(args, cfg, "depth_cap", 64 * (2 * n + 4))
+    depth_cap = _depth_cap(args)
     run = recurrence.init_run(args.u, args.v)
     if run.ok:
         run.extend(n)
+    history = {
+        "alphas": _scalar_list(run.alphas[:n]),
+        "betas": _scalar_list(run.betas[:n]),
+        "status": "ok" if run.ok else {"failed_at": run.failure.index, "cause": run.failure.cause},
+    }
     try:
         cf, depth = _extract_with_retry(args.u, args.v, n, depth_cap)
     except InsufficientDepth as exc:
@@ -183,12 +177,7 @@ def cmd_cf(args, cfg) -> int:
             "u": str(args.u),
             "v": str(args.v),
             "n": n,
-            "recurrence": {
-                "alphas": _scalar_list(run.alphas[:n]),
-                "betas": _scalar_list(run.betas[:n]),
-                "status": "ok" if run.ok else
-                {"failed_at": run.failure.index, "cause": run.failure.cause},
-            },
+            "recurrence": history,
             "extraction": f"depth exhausted at cap {depth_cap}: {exc}",
         }
         if not run.ok:
@@ -206,12 +195,7 @@ def cmd_cf(args, cfg) -> int:
         "v": str(args.v),
         "n": n,
         "expansion_depth": depth,
-        "recurrence": {
-            "alphas": _scalar_list(run.alphas[:n]),
-            "betas": _scalar_list(run.betas[:n]),
-            "status": "ok" if run.ok else
-            {"failed_at": run.failure.index, "cause": run.failure.cause},
-        },
+        "recurrence": history,
         "extracted": cf.to_json_dict(),
     }
 
@@ -236,8 +220,9 @@ def cmd_cf(args, cfg) -> int:
     return EXIT_OK if disagree is None else EXIT_MATH_FAILURE
 
 
-def cmd_check(args, cfg) -> int:
+def cmd_check(args) -> int:
     u, v = args.u, args.v
+    _require_at_most("--primes-max", args.primes_max, MAX_PRIMES_MAX)
     if args.p is not None:
         _require_prime(args.p)
         witnesses = conditions.check_pair(u, v, args.p)
@@ -250,12 +235,11 @@ def cmd_check(args, cfg) -> int:
         }
         _emit(doc, args)
         return EXIT_OK if witnesses else EXIT_NEGATIVE
-    primes_max = _setting(args, cfg, "primes_max", 1000)
-    w = conditions.covered_up_to(u, v, primes_max)
+    w = conditions.covered_up_to(u, v, args.primes_max)
     doc = {
         "u": u,
         "v": v,
-        "primes_max": primes_max,
+        "primes_max": args.primes_max,
         "witness": w.to_json_dict() if w else None,
         "covered": w is not None,
     }
@@ -263,11 +247,9 @@ def cmd_check(args, cfg) -> int:
     return EXIT_OK if w else EXIT_NEGATIVE
 
 
-def cmd_scan(args, cfg) -> int:
-    horizon = _setting(args, cfg, "horizon", search.DEFAULT_HORIZON)
-    _require_horizon("-N", horizon)
-    jobs = _setting(args, cfg, "jobs", 1)
-    results = search.scan_range(args.p_min, args.p_max, horizon, jobs=jobs)
+def cmd_scan(args) -> int:
+    _require_at_most("-N", args.horizon, MAX_HORIZON)
+    results = search.scan_range(args.p_min, args.p_max, args.horizon)
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -279,7 +261,7 @@ def cmd_scan(args, cfg) -> int:
     doc = {
         "p_min": args.p_min,
         "p_max": args.p_max,
-        "max_index": horizon,
+        "max_index": args.horizon,
         "results": [r.to_json_dict() for r in results],
         "summary": {
             "primes_scanned": len(results),
@@ -295,7 +277,7 @@ def cmd_scan(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_density(args, cfg) -> int:
+def cmd_density(args) -> int:
     if args.B < 0:
         raise SystemExit(f"-B {args.B} must be >= 0")
     cells = (2 * args.B + 1) ** 2
@@ -303,17 +285,14 @@ def cmd_density(args, cfg) -> int:
         raise SystemExit(
             f"-B {args.B} needs a grid of {cells} cells, above the limit of {MAX_DENSITY_CELLS}"
         )
-    primes_max = _setting(args, cfg, "primes_max", 1000)
-    jobs = _setting(args, cfg, "jobs", 1)
-    report = search.density(args.B, primes_max, jobs=jobs)
-    _emit(report.to_json_dict(), args)
+    _require_at_most("--primes-max", args.primes_max, MAX_PRIMES_MAX)
+    _emit(search.density(args.B, args.primes_max).to_json_dict(), args)
     return EXIT_OK
 
 
-def cmd_verify_lemma(args, cfg) -> int:
+def cmd_verify_lemma(args) -> int:
     _require_prime(args.p)
-    blocks = _setting(args, cfg, "blocks", 100)
-    specs = patterns.specs_for_prime(args.p, blocks)
+    specs = patterns.specs_for_prime(args.p, args.blocks)
     specs = [s for s in specs if s.lemma == args.lemma]
     if args.phi is not None:
         specs = [s for s in specs if s.phi == args.phi % args.p]
@@ -325,7 +304,7 @@ def cmd_verify_lemma(args, cfg) -> int:
     doc = {
         "lemma": args.lemma,
         "p": args.p,
-        "K": blocks,
+        "K": args.blocks,
         "instances": [r.to_json_dict() for r in reports],
         "pass": bool(reports) and all(r.passed for r in reports),
     }
@@ -335,9 +314,9 @@ def cmd_verify_lemma(args, cfg) -> int:
     return EXIT_OK if doc["pass"] else EXIT_MATH_FAILURE
 
 
-def cmd_mu(args, cfg) -> int:
+def cmd_mu(args) -> int:
     n = args.n
-    depth_cap = _setting(args, cfg, "depth_cap", 64 * (2 * n + 4))
+    depth_cap = _depth_cap(args)
     try:
         cf, depth = _extract_with_retry(args.u, args.v, n, depth_cap)
     except InsufficientDepth as exc:
@@ -378,11 +357,10 @@ def _build_parser() -> _Parser:
         "z^-1 * prod(1 + u/z^(3^t) + v/z^(2*3^t)); see README for the exit-code contract.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    ignored_jobs = "accepted for old command lines and ignored: every run is serial"
 
     def common(sp):
         sp.add_argument("--out", help="write the JSON/CSV document here instead of stdout")
-        sp.add_argument("--config", help="key=value file with defaults "
-                        f"({', '.join(_CONFIG_KEYS)})")
 
     sp = sub.add_parser("recurrence", help="run the block recurrence, exact output")
     sp.add_argument("-u", type=_fraction, required=True, help="u (exact rational; use -u=-2/3 for negatives)")
@@ -407,17 +385,18 @@ def _build_parser() -> _Parser:
     sp.add_argument("-u", type=int, required=True)
     sp.add_argument("-v", type=int, required=True)
     sp.add_argument("-p", type=int, help="check this prime only")
-    sp.add_argument("--primes-max", dest="primes_max", type=_positive,
-                    help="scan primes 3..M for the first witness (default 1000)")
+    sp.add_argument("--primes-max", dest="primes_max", type=_positive, default=1000,
+                    help="scan primes 3..M for the first witness "
+                    f"(default 1000, at most {MAX_PRIMES_MAX})")
     common(sp)
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("scan", help="survivor scan over F_p^2 for a prime range")
     sp.add_argument("--p-min", dest="p_min", type=_positive, required=True)
     sp.add_argument("--p-max", dest="p_max", type=_positive, required=True)
-    sp.add_argument("-N", dest="horizon", type=_positive,
+    sp.add_argument("-N", dest="horizon", type=_positive, default=search.DEFAULT_HORIZON,
                     help=f"survivor horizon (default {search.DEFAULT_HORIZON}, at most {MAX_HORIZON})")
-    sp.add_argument("--jobs", type=_positive, help="parallel shards (default 1)")
+    sp.add_argument("--jobs", type=_positive, help=ignored_jobs)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     common(sp)
     sp.set_defaults(fn=cmd_scan)
@@ -425,8 +404,9 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("density", help="covered fraction of integer pairs in [-B, B]^2")
     sp.add_argument("-B", type=int, required=True,
                     help=f"box half-width (0 <= B, (2B+1)^2 at most {MAX_DENSITY_CELLS} cells)")
-    sp.add_argument("--primes-max", dest="primes_max", type=_positive)
-    sp.add_argument("--jobs", type=_positive)
+    sp.add_argument("--primes-max", dest="primes_max", type=_positive, default=1000,
+                    help=f"condition primes 3..M (default 1000, at most {MAX_PRIMES_MAX})")
+    sp.add_argument("--jobs", type=_positive, help=ignored_jobs)
     common(sp)
     sp.set_defaults(fn=cmd_density)
 
@@ -437,7 +417,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--phi", type=int, help="restrict to this phi parameter")
     sp.add_argument("--delta", type=int, help="restrict to this delta parameter")
     sp.add_argument("--sign", type=int, choices=(1, -1), help="restrict to one sign")
-    sp.add_argument("-K", dest="blocks", type=_positive,
+    sp.add_argument("-K", dest="blocks", type=_positive, default=100,
                     help="verify indices up to 9K+9 (default 100)")
     common(sp)
     sp.set_defaults(fn=cmd_verify_lemma)
@@ -446,9 +426,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("-u", type=_fraction, required=True)
     sp.add_argument("-v", type=_fraction, required=True)
     sp.add_argument("-n", type=_positive, required=True, help="continued-fraction terms")
-    sp.add_argument("--window-start", dest="window_start", type=int, default=0,
+    sp.add_argument("--window-start", dest="window_start", type=_nonnegative, default=0,
                     help="first convergent index k of the ratio window")
-    sp.add_argument("--window-end", dest="window_end", type=int,
+    sp.add_argument("--window-end", dest="window_end", type=_nonnegative,
                     help="last convergent index k (default: all)")
     sp.add_argument("--depth-cap", dest="depth_cap", type=_positive)
     common(sp)
@@ -464,12 +444,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        cfg = _load_config(getattr(args, "config", None))
-    except (OSError, ValueError) as exc:
-        print(f"mahlercf: config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return args.fn(args, cfg)
+        return args.fn(args)
     except SystemExit as exc:
         if isinstance(exc.code, int):
             return exc.code

@@ -136,11 +136,9 @@ def poly_roots_mod_p(coeffs, p: int) -> set[int]:
     quartic), the only shapes of the case table; anything else raises
     ValueError. A quadratic is solved by its discriminant's square roots, an
     even quartic as a quadratic in y = x^2 followed by the square roots of
-    each y. p must be an odd prime <= 10^6.
+    each y. p must be an odd prime.
     """
     check_odd_prime(p)
-    if p > 10**6:
-        raise ValueError(f"root finding capped at p = 10^6, got {p}")
     reduced = [c % p for c in coeffs]
     while reduced and reduced[-1] == 0:
         reduced.pop()

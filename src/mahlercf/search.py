@@ -9,14 +9,14 @@ at a finite horizon may die later.
 
 The density experiment never runs the recurrence: each condition pair
 (u0, v0) of a prime p covers every integer pair congruent to it mod p, a
-lattice that is marked in one step. Work shards by u-row block; shards are
-independent and merged by addition, so parallel and serial runs agree
-exactly.
+lattice that is marked in one step over the whole box.
+
+Every scan and count runs serially: the mod-p runs are pure Python and hold
+the GIL, so threads would add overhead and no speed.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -80,19 +80,9 @@ def scan_prime(p: int, max_index: int = DEFAULT_HORIZON) -> ScanResult:
     return ScanResult(p, max_index, grid)
 
 
-def scan_range(p_min: int, p_max: int, max_index: int = DEFAULT_HORIZON,
-               jobs: int = 1) -> list[ScanResult]:
-    """scan_prime for every prime in [p_min, p_max], ascending.
-
-    Primes are independent shards; with jobs > 1 they run on a thread pool,
-    ordered by p, so the output is identical to a serial run. A scan is pure
-    Python and holds the GIL, so more jobs give no speedup.
-    """
-    primes = primes_between(max(3, p_min), p_max)
-    if jobs <= 1 or len(primes) <= 1:
-        return [scan_prime(p, max_index) for p in primes]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda p: scan_prime(p, max_index), primes))
+def scan_range(p_min: int, p_max: int, max_index: int = DEFAULT_HORIZON) -> list[ScanResult]:
+    """scan_prime for every prime in [p_min, p_max], ascending."""
+    return [scan_prime(p, max_index) for p in primes_between(max(3, p_min), p_max)]
 
 
 @dataclass
@@ -122,22 +112,9 @@ def condition_tables(prime_max: int) -> dict:
     return {p: list(satisfying_pairs(p)) for p in primes_between(3, prime_max)}
 
 
-def density(bound: int, prime_max: int, jobs: int = 1) -> DensityReport:
+def density(bound: int, prime_max: int) -> DensityReport:
     """Exact coverage count over the integer square [-bound, bound]^2."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    tables = condition_tables(prime_max)
-    total = (2 * bound + 1) ** 2
-    if jobs <= 1:
-        covered = kernels.density_count(-bound, bound, bound, tables)
-    else:
-        # jobs near-equal u-row slabs that partition [-bound, bound]
-        edges = [-bound + (2 * bound + 1) * i // jobs for i in range(jobs + 1)]
-        slabs = [(lo, hi - 1) for lo, hi in zip(edges, edges[1:]) if lo < hi]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(
-                lambda s: kernels.density_count(s[0], s[1], bound, tables),
-                slabs,
-            )
-            covered = sum(parts)
-    return DensityReport(bound, prime_max, total, covered)
+    covered = kernels.density_count(-bound, bound, bound, condition_tables(prime_max))
+    return DensityReport(bound, prime_max, (2 * bound + 1) ** 2, covered)

@@ -115,7 +115,7 @@ def test_criterion_5_scan_replication():
 
 def test_criterion_6_density_replication():
     """density(B=1000, prime_max=1000) lands in [0.81, 0.83]."""
-    rep = density(1000, 1000, jobs=4)
+    rep = density(1000, 1000)
     frac = rep.fraction
     assert Fraction(81, 100) <= frac <= Fraction(83, 100), float(frac)
     _report("6 density replication", f"fraction = {float(frac):.4f} in [0.81, 0.83]")

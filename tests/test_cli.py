@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from mahlercf import laurent, recurrence, search
+from mahlercf import conditions, laurent, recurrence, search
 from mahlercf.cli import (
     EXIT_MATH_FAILURE,
     EXIT_NEGATIVE,
@@ -21,6 +21,7 @@ from mahlercf.cli import (
     EXIT_USAGE,
     MAX_DENSITY_CELLS,
     MAX_HORIZON,
+    MAX_PRIMES_MAX,
     main,
 )
 from mahlercf.fields import PRIMALITY_LIMIT
@@ -261,18 +262,13 @@ class TestScan:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_horizon_above_limit_is_usage_error(self, monkeypatch, capsys, tmp_path):
-        argv = ["scan", "--p-min", "3", "--p-max", "50"]
+    def test_horizon_above_limit_is_usage_error(self, monkeypatch, capsys):
         err = refused_before_any_run(
-            monkeypatch, capsys, [*argv, "-N", str(MAX_HORIZON + 1)],
+            monkeypatch, capsys,
+            ["scan", "--p-min", "3", "--p-max", "50", "-N", str(MAX_HORIZON + 1)],
             (search, "scan_range"),
         )
         assert f"-N {MAX_HORIZON + 1}" in err
-        cfg = tmp_path / "mahlercf.cfg"
-        cfg.write_text(f"horizon = {10 * MAX_HORIZON}\n")
-        refused_before_any_run(
-            monkeypatch, capsys, [*argv, "--config", str(cfg)], (search, "scan_range"),
-        )
 
     def test_json_summary_clean(self, capsys):
         code, doc = run_json(
@@ -325,11 +321,35 @@ class TestDensity:
         # 4999 is the largest B whose (2B+1)^2 grid fits the limit; the run
         # itself is stubbed, since it would mark a ~100 MB grid
         monkeypatch.setattr(
-            search, "density", lambda b, m, jobs: search.DensityReport(b, m, (2 * b + 1) ** 2, 0)
+            search, "density", lambda b, m: search.DensityReport(b, m, (2 * b + 1) ** 2, 0)
         )
         code, doc = run_json(capsys, "density", "-B", "4999", "--primes-max", "10")
         assert code == EXIT_OK
         assert doc["total"] == 9999 ** 2 <= MAX_DENSITY_CELLS < 10001 ** 2
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "-u", "5", "-v", "1"],
+    ["density", "-B", "12"],
+], ids=["check", "density"])
+def test_primes_max_above_limit_is_usage_error(monkeypatch, capsys, command):
+    # refused before the sieve of either command runs
+    err = refused_before_any_run(
+        monkeypatch, capsys, [*command, "--primes-max", str(MAX_PRIMES_MAX + 1)],
+        (conditions, "covered_up_to"), (conditions, "primes_between"),
+        (search, "density"), (search, "primes_between"),
+        expect=f"limit of {MAX_PRIMES_MAX}",
+    )
+    assert f"--primes-max {MAX_PRIMES_MAX + 1}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--p-min", "3", "--p-max", "13", "-N", "500"],
+    ["density", "-B", "35", "--primes-max", "35"],
+], ids=["scan", "density"])
+def test_jobs_flag_is_accepted_and_ignored(capsys, argv):
+    # --jobs survives for old command lines; every run is serial
+    assert run_cli(capsys, *argv, "--jobs", "2") == run_cli(capsys, *argv)
 
 
 class TestVerifyLemma:
@@ -345,6 +365,14 @@ class TestVerifyLemma:
         code, doc = run_json(capsys, "verify-lemma", "--lemma", "1", "-p", "5", "-K", "2")
         assert code == EXIT_NEGATIVE
         assert doc["instances"] == []
+
+    @pytest.mark.parametrize("p, instances", [(10**6 + 3, 0), (1_000_033, 2)])
+    def test_prime_above_a_million(self, capsys, p, instances):
+        # lemma 1 needs a square root of 3: none mod 10^6 + 3 (7 mod 12),
+        # two mod 1000033 (1 mod 12)
+        code, doc = run_json(capsys, "verify-lemma", "--lemma", "1", "-p", str(p))
+        assert len(doc["instances"]) == instances
+        assert (code, doc["pass"]) == ((EXIT_OK, True) if instances else (EXIT_NEGATIVE, False))
 
 
 class TestMu:
@@ -363,6 +391,15 @@ class TestMu:
         assert code == EXIT_OK
         assert doc["degrees"] == list(range(102))
         assert doc["expansion_depth"] == 206
+
+    @pytest.mark.parametrize("window", [["--window-start=-3"], ["--window-end=-1"]],
+                             ids=["start", "end"])
+    def test_negative_window_bound_is_usage_error(self, monkeypatch, capsys, window):
+        # a negative bound would slice the degree list from its end
+        refused_before_any_run(
+            monkeypatch, capsys, ["mu", "-u", "5", "-v", "1", "-n", "11", *window],
+            (laurent, "expand_g"), expect="must be >= 0",
+        )
 
 
 class TestPlumbing:
@@ -417,16 +454,11 @@ assert isinstance(grid, numpy.ndarray) and grid.dtype == numpy.int32
         doc = json.loads(path.read_text())
         assert doc["betas"] == ["1", "1", "11"]
 
-    def test_config_defaults(self, capsys, tmp_path):
+    def test_config_file_is_not_an_option(self, capsys, tmp_path):
+        # every setting comes from its flag
         cfg = tmp_path / "mahlercf.cfg"
-        cfg.write_text("primes_max = 7\n# comment\n")
-        code, doc = run_json(
-            capsys, "check", "-u", "5", "-v", "1", "--config", str(cfg)
-        )
-        assert code == EXIT_NEGATIVE  # (5, 1) finds its first witness at p = 11
-        assert doc["primes_max"] == 7
-
-    def test_bad_config_key(self, capsys, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("depth = 3\n")
-        assert main(["check", "-u", "1", "-v", "2", "--config", str(cfg)]) == EXIT_USAGE
+        cfg.write_text("primes_max = 7\n")
+        assert main(["check", "-u", "5", "-v", "1", "--config", str(cfg)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --config" in captured.err

@@ -150,10 +150,17 @@ class TestPolyRoots:
             x for x in range(7) if (x**4 + 4) % 7 == 0
         }
 
-    @pytest.mark.parametrize("p", [2, 9, 10**6 + 3])
+    @pytest.mark.parametrize("p", [2, 9])
     def test_modulus_refused(self, p):
         with pytest.raises(ValueError):
             poly_roots_mod_p([-3, 0, 1], p)
+
+    @pytest.mark.parametrize("p", [10**6 + 3, 1_000_033])
+    def test_prime_above_a_million(self, p):
+        # no cap on p: 3 is a non-residue mod 10^6 + 3 and a residue mod 1000033
+        roots = poly_roots_mod_p([-3, 0, 1], p)
+        assert len(roots) == 1 + legendre(3, p)
+        assert all(r * r % p == 3 for r in roots)
 
 
 class TestPrimality:

@@ -58,12 +58,6 @@ class TestScanRange:
             assert r.extra_survivors == set()
             assert r.missing == set()
 
-    def test_parallel_matches_serial(self):
-        serial = scan_range(3, 13, 500, jobs=1)
-        parallel = scan_range(3, 13, 500, jobs=4)
-        for a, b in zip(serial, parallel):
-            assert a.p == b.p and a.survivors == b.survivors
-
 
 class TestDensity:
     def test_b0_uncovered(self):
@@ -89,10 +83,6 @@ class TestDensity:
         b = 40
         fractions = [density(b, pm).fraction for pm in (3, 7, 13, 31)]
         assert fractions == sorted(fractions)
-
-    @pytest.mark.parametrize("jobs", [2, 3, 5, 7])
-    def test_parallel_matches_serial(self, jobs):
-        assert density(35, 35, jobs=1).covered == density(35, 35, jobs=jobs).covered
 
     def test_witness_pair_never_covered(self):
         for p, pairs in condition_tables(1000).items():
