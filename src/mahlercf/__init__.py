@@ -26,7 +26,6 @@ from .laurent import (
 from .patterns import LemmaSpec, nonzero_beta_catalog, specs_for_prime, verify_lemma
 from .recurrence import (
     BETA_ZERO,
-    DIVISION_BY_ZERO,
     ExtendAfterFailure,
     Failure,
     RecurrenceRun,
@@ -44,7 +43,6 @@ __all__ = [
     "BETA_ZERO",
     "CFExpansion",
     "ConditionWitness",
-    "DIVISION_BY_ZERO",
     "DensityReport",
     "ExactRational",
     "ExtendAfterFailure",

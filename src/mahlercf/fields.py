@@ -132,21 +132,20 @@ def poly_roots_mod_p(coeffs, p: int) -> set[int]:
     """All x in [0, p) with sum(coeffs[i] * x^i) == 0 mod p, by formula.
 
     coeffs are integers, ascending by degree. After reduction mod p the
-    polynomial must be a quadratic in x or in x^2 (degree <= 2, or an even
-    quartic), the only shapes of the case table; anything else raises
-    ValueError. A quadratic is solved by its discriminant's square roots, an
-    even quartic as a quadratic in y = x^2 followed by the square roots of
-    each y. p must be an odd prime.
+    polynomial must be a nonzero quadratic in x or in x^2 (degree <= 2, or
+    an even quartic), the only shapes of the case table; anything else,
+    the zero polynomial included, raises ValueError. A quadratic is solved
+    by its discriminant's square roots, an even quartic as a quadratic in
+    y = x^2 followed by the square roots of each y. p must be an odd prime.
     """
     check_odd_prime(p)
     reduced = [c % p for c in coeffs]
     while reduced and reduced[-1] == 0:
         reduced.pop()
+    if not reduced:
+        raise ValueError(f"{list(coeffs)} is the zero polynomial mod {p}")
     if len(reduced) - 1 > 4:
         raise ValueError(f"degree {len(reduced) - 1} > 4 not supported")
-    if not reduced:
-        # zero polynomial: everything is a root
-        return set(range(p))
     if len(reduced) <= 3:
         return _quadratic_roots(reduced, p)
     if len(reduced) == 4 or any(reduced[1::2]):

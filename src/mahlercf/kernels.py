@@ -22,9 +22,10 @@ same index for the same cause.
 All kernels work on plain integer residues; exact Fraction work lives
 elsewhere.
 
-Failure causes are encoded as ints: 0 = ok, 1 = a beta entry equals zero,
-2 = a division hit a zero divisor (defensive; unreachable while earlier
-betas are nonzero).
+Failure causes are encoded as ints: 0 = ok, 1 = a beta entry equals zero.
+Only beta_2, beta_3, beta_{3k+5} and beta_{3k+6} can vanish: beta_{3k+4} =
+beta_{k+2}/(beta_{3k+3} beta_{3k+2}) is a quotient of earlier betas, all
+already nonzero, so no division ever meets a zero divisor.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ if TYPE_CHECKING:
 
 OK = 0
 CAUSE_BETA_ZERO = 1
-CAUSE_DIV_ZERO = 2
 
 
 def get_backend() -> str:
@@ -65,8 +65,8 @@ def run_history(u: int, v: int, p: int, n: int):
     Returns (alphas, betas, fail_index, cause): lists indexed 1.. (slot 0
     unused) that end where the run stopped, and fail_index 0 when no beta
     vanished. They hold exactly what RecurrenceRun records: a zero beta is
-    kept at its index, alpha_{3k+5} is absent when beta_{3k+5} is the zero,
-    and a zero divisor halts after alpha_{3k+4}, before beta_{3k+4}.
+    kept at its index, and alpha_{3k+5} is absent when beta_{3k+5} is the
+    zero.
 
     The two inversions of a block go through a memo that lives for this
     call only, so each distinct divisor costs one ``pow``: a survivor meets
@@ -93,13 +93,8 @@ def run_history(u: int, v: int, p: int, n: int):
     i = 3  # = 3k + 3, the last index of the previous block
     while i < n:
         alphas.append(neg_u)
-        denom = betas[i] * betas[i - 1] % p
-        if denom == 0:
-            return alphas, betas, i + 1, CAUSE_DIV_ZERO
-        b4 = betas[k + 2] * inv[denom] % p
+        b4 = betas[k + 2] * inv[betas[i] * betas[i - 1] % p] % p
         betas.append(b4)
-        if b4 == 0:
-            return alphas, betas, i + 1, CAUSE_BETA_ZERO
         b5 = (c - b4) % p
         betas.append(b5)
         if b5 == 0:

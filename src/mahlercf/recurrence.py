@@ -19,7 +19,9 @@ While every beta_i stays nonzero these are exactly the constants of the
 continued fraction of the associated Mahler product, with monic linear
 partial quotients a_i(z) = z + alpha_i. A vanishing beta is the interesting
 event: it is recorded at its index, the run halts, and the index feeds the
-survivor scans.
+survivor scans. Only beta_2, beta_3, beta_{3k+5} and beta_{3k+6} can vanish:
+beta_{3k+4} is a quotient of earlier betas, all nonzero while the run lives,
+so no step divides by zero.
 
 Indexing is 1-based throughout, mirroring the subscripts above; the step
 3k+4 reads back index k+2, so the full history is kept (O(n) scalars).
@@ -37,9 +39,6 @@ from . import kernels
 from .fields import as_scalar, check_odd_prime
 
 BETA_ZERO = "beta_zero"
-DIVISION_BY_ZERO = "division_by_zero"
-
-_CAUSE_NAMES = {kernels.CAUSE_BETA_ZERO: BETA_ZERO, kernels.CAUSE_DIV_ZERO: DIVISION_BY_ZERO}
 
 
 class ExtendAfterFailure(RuntimeError):
@@ -49,7 +48,7 @@ class ExtendAfterFailure(RuntimeError):
 @dataclass(frozen=True)
 class Failure:
     index: int
-    cause: str  # BETA_ZERO or DIVISION_BY_ZERO
+    cause: str  # always BETA_ZERO
 
 
 class RecurrenceRun:
@@ -115,16 +114,9 @@ class RecurrenceRun:
         u, v = self.u, self.v
         a, b = self._alphas, self._betas
         k = len(b) // 3 - 1
-        denom = b[3 * k + 2] * b[3 * k + 1]  # beta_{3k+3} * beta_{3k+2}
         a.append(-u)
-        if denom == 0:
-            self.failure = Failure(3 * k + 4, DIVISION_BY_ZERO)
-            return
-        b4 = b[k + 1] / denom  # beta_{k+2} / denom
+        b4 = b[k + 1] / (b[3 * k + 2] * b[3 * k + 1])  # beta_{k+2}/(beta_{3k+3} beta_{3k+2})
         b.append(b4)
-        if b4 == 0:
-            self.failure = Failure(3 * k + 4, BETA_ZERO)
-            return
         b5 = u * u - v - b4
         b.append(b5)
         if b5 == 0:
@@ -195,8 +187,8 @@ def run_mod_p(u: int, v: int, p: int, n: int) -> ModPRun:
     Like run_over_q, a failure inside the last block counts even past n.
     """
     check_odd_prime(p)
-    alphas, betas, idx, cause = kernels.run_history(u, v, p, max(n, 3))
-    failure = Failure(idx, _CAUSE_NAMES[cause]) if idx else None
+    alphas, betas, idx, _ = kernels.run_history(u, v, p, max(n, 3))
+    failure = Failure(idx, BETA_ZERO) if idx else None
     return ModPRun(u % p, v % p, tuple(alphas[1:]), tuple(betas[1:]), failure)
 
 
@@ -208,16 +200,15 @@ def history_mod_p(u: int, v: int, p: int, n: int):
     n does not count: the run survived the requested horizon.
     """
     check_odd_prime(p)
-    alphas, betas, idx, cause = kernels.run_history(u, v, p, n)
-    failure = Failure(idx, _CAUSE_NAMES[cause]) if 0 < idx <= n else None
+    alphas, betas, idx, _ = kernels.run_history(u, v, p, n)
+    failure = Failure(idx, BETA_ZERO) if 0 < idx <= n else None
     return alphas, betas, failure
 
 
 def first_beta_zero(u: int, v: int, p: int, max_index: int) -> int | None:
     """Smallest index i <= max_index with beta_i = 0 in F_p, else None.
 
-    A (defensive) zero divisor at step i reports i as well. This is the
-    survivor-test primitive for the residue scans.
+    This is the survivor-test primitive for the residue scans.
     """
     check_odd_prime(p)
     idx = kernels.first_zero(u, v, p, max_index)

@@ -366,6 +366,16 @@ class TestVerifyLemma:
         assert code == EXIT_NEGATIVE
         assert doc["instances"] == []
 
+    def test_phi_and_sign_filters(self, capsys):
+        # phi = 2 is a root of x^2 + x + 1 mod 7; sign -1 gives u = -2 = 5
+        code, doc = run_json(
+            capsys, "verify-lemma", "--lemma", "3", "-p", "7", "--phi", "2", "--sign", "-1",
+            "-K", "2",
+        )
+        assert code == EXIT_OK and doc["pass"] is True
+        [instance] = doc["instances"]
+        assert (instance["params"]["u"], instance["params"]["sign"]) == (5, -1)
+
     @pytest.mark.parametrize("p, instances", [(10**6 + 3, 0), (1_000_033, 2)])
     def test_prime_above_a_million(self, capsys, p, instances):
         # lemma 1 needs a square root of 3: none mod 10^6 + 3 (7 mod 12),

@@ -132,7 +132,10 @@ class TestPolyRoots:
         assert poly_roots_mod_p([3, 0, 7], 7) == set()
 
     def test_zero_polynomial(self):
-        assert poly_roots_mod_p([7, 14], 7) == {0, 1, 2, 3, 4, 5, 6}
+        # every x would be a root: refused rather than listing all of F_p
+        for coeffs, p in (([7, 14], 7), ([0, 10**9 + 7], 10**9 + 7)):
+            with pytest.raises(ValueError, match="zero polynomial"):
+                poly_roots_mod_p(coeffs, p)
 
     def test_degree_cap(self):
         with pytest.raises(ValueError):

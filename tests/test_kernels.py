@@ -17,8 +17,13 @@ from mahlercf.fields import primes_between
 from mahlercf.recurrence import run_over_q
 
 
+DIV_ZERO = 2  # the reference's own cause for a zero divisor; never returned
+
+
 def reference_run_history(u, v, p, n):
-    """run_history as a plain loop: two ``pow`` inversions per block, no memo."""
+    """run_history as a plain loop: two ``pow`` inversions per block, no memo,
+    with a check before every division and on every beta, so the differential
+    tests show that the kernel's unchecked steps never needed one."""
     u %= p
     v %= p
     alphas = [0, -u % p]
@@ -35,7 +40,7 @@ def reference_run_history(u, v, p, n):
         alphas.append(-u % p)
         denom = betas[3 * k + 3] * betas[3 * k + 2] % p
         if denom == 0:
-            return alphas, betas, 3 * k + 4, kernels.CAUSE_DIV_ZERO
+            return alphas, betas, 3 * k + 4, DIV_ZERO
         b4 = betas[k + 2] * pow(denom, -1, p) % p
         betas.append(b4)
         if b4 == 0:

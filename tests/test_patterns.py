@@ -100,6 +100,10 @@ class TestVerify:
         bad = LemmaSpec(lemma=2, p=11, u=5, v=1, blocks=2)
         report = verify_lemma(bad)
         assert not report.passed and report.first_violation is not None
+        # family 2 claims alpha_2 = 0; family 1's run has alpha_2 = u
+        assert report.to_json_dict()["violation"] == {
+            "index": 2, "sequence": "alpha", "expected": 0, "actual": 5
+        }
 
     def test_run_failure_reported(self):
         # (1, 1) mod 7 dies at beta_2 = 0; any pattern claim over it fails
@@ -107,6 +111,7 @@ class TestVerify:
         report = verify_lemma(bad)
         assert not report.passed
         assert report.run_failure is not None and report.run_failure.index == 2
+        assert report.to_json_dict()["run_failure"] == {"index": 2, "cause": "beta_zero"}
 
 
 class TestMutation:
@@ -145,6 +150,18 @@ class TestCatalog:
         base = {-3 * pow(d, p - 2, p) % p, (-3) % p, -d * inv3 % p}
         assert base <= cat
         assert -d * inv3 % p * inv9 % p in cat  # beta_6 = beta_3/9 scale
+
+    @pytest.mark.parametrize("p,blocks", [(7, 1), (31, 1), (31, 4), (31, 40)])
+    def test_family7_holds_every_real_beta(self, p, blocks):
+        # beta_3/9^j first appears at index (3^(j+1) + 3)/2, e.g. beta_15 =
+        # beta_3/81 at K = 1; the catalog must reach every rescaling a run takes
+        specs = [s for s in specs_for_prime(p, blocks) if s.lemma == 7]
+        assert specs
+        for spec in specs:
+            cat = nonzero_beta_catalog(spec)
+            _, betas, failure = recurrence.history_mod_p(spec.u, spec.v, p, spec.depth)
+            assert failure is None
+            assert set(betas[3 : spec.depth + 1]) <= cat, spec
 
     @pytest.mark.parametrize("p", primes_between(3, 50))
     def test_membership_of_real_runs(self, p):
