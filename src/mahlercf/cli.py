@@ -38,6 +38,16 @@ EXIT_USAGE = 64
 # run's inverse memo keeps ~2 entries per block (peak RSS of a fresh process).
 MAX_HORIZON = 10**6
 
+# Largest `verify-lemma -K`: a run keeps its history to index 9K+9.
+MAX_BLOCKS = (MAX_HORIZON - 9) // 9
+
+# Largest expansion depth of `cf` and `mu`, the default cap of `-n 101`.
+# It bounds memory, not time: on (1, -2), which doubles its depth to the
+# cap, expand_g to 13184 takes 1.3 s, and the extraction had certified 82
+# quotients at ~39 MB after 200 s and was still running at 240 s (peak RSS
+# of a fresh process); its remainder coefficients grow with every quotient.
+MAX_DEPTH = 64 * 206
+
 # Largest `--primes-max` of `check` and `density`: condition_tables(10**6)
 # already takes ~14 s and holds 784140 pairs, and the sieve grows with it.
 MAX_PRIMES_MAX = 10**6
@@ -155,8 +165,17 @@ def _extract_with_retry(u, v, terms: int, depth_cap: int):
 
 
 def _depth_cap(args) -> int:
-    """--depth-cap, by default 64 times the first depth tried."""
-    return 64 * (2 * args.n + 4) if args.depth_cap is None else args.depth_cap
+    """--depth-cap, by default 64 times the first depth tried and at most
+    MAX_DEPTH; a first depth or a cap above MAX_DEPTH is a usage error."""
+    first = 2 * args.n + 4
+    if first > MAX_DEPTH:
+        raise SystemExit(
+            f"-n {args.n} needs a first expansion depth of {first}, above the limit of {MAX_DEPTH}"
+        )
+    if args.depth_cap is None:
+        return min(64 * first, MAX_DEPTH)
+    _require_at_most("--depth-cap", args.depth_cap, MAX_DEPTH)
+    return args.depth_cap
 
 
 def cmd_cf(args) -> int:
@@ -291,6 +310,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_verify_lemma(args) -> int:
+    _require_at_most("-K", args.blocks, MAX_BLOCKS)
     _require_prime(args.p)
     specs = patterns.specs_for_prime(args.p, args.blocks)
     specs = [s for s in specs if s.lemma == args.lemma]
@@ -375,9 +395,11 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("cf", help="series-extraction oracle vs recurrence agreement")
     sp.add_argument("-u", type=_fraction, required=True)
     sp.add_argument("-v", type=_fraction, required=True)
-    sp.add_argument("-n", type=_positive, required=True, help="continued-fraction terms to compare")
+    sp.add_argument("-n", type=_positive, required=True,
+                    help=f"continued-fraction terms to compare (2n+4 at most {MAX_DEPTH})")
     sp.add_argument("--depth-cap", dest="depth_cap", type=_positive,
-                    help="maximum expansion depth before giving up (exit 3)")
+                    help="maximum expansion depth before giving up (exit 3; "
+                    f"default 64(2n+4), at most {MAX_DEPTH})")
     common(sp)
     sp.set_defaults(fn=cmd_cf)
 
@@ -418,19 +440,21 @@ def _build_parser() -> _Parser:
     sp.add_argument("--delta", type=int, help="restrict to this delta parameter")
     sp.add_argument("--sign", type=int, choices=(1, -1), help="restrict to one sign")
     sp.add_argument("-K", dest="blocks", type=_positive, default=100,
-                    help="verify indices up to 9K+9 (default 100)")
+                    help=f"verify indices up to 9K+9 (default 100, at most {MAX_BLOCKS})")
     common(sp)
     sp.set_defaults(fn=cmd_verify_lemma)
 
     sp = sub.add_parser("mu", help="finite-depth irrationality-exponent estimate")
     sp.add_argument("-u", type=_fraction, required=True)
     sp.add_argument("-v", type=_fraction, required=True)
-    sp.add_argument("-n", type=_positive, required=True, help="continued-fraction terms")
+    sp.add_argument("-n", type=_positive, required=True,
+                    help=f"continued-fraction terms (2n+4 at most {MAX_DEPTH})")
     sp.add_argument("--window-start", dest="window_start", type=_nonnegative, default=0,
                     help="first convergent index k of the ratio window")
     sp.add_argument("--window-end", dest="window_end", type=_nonnegative,
                     help="last convergent index k (default: all)")
-    sp.add_argument("--depth-cap", dest="depth_cap", type=_positive)
+    sp.add_argument("--depth-cap", dest="depth_cap", type=_positive,
+                    help=f"as for cf (default 64(2n+4), at most {MAX_DEPTH})")
     common(sp)
     sp.set_defaults(fn=cmd_mu)
 
@@ -453,6 +477,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # a closed stdout ends the process silently, as it ends a Unix filter;
+    # imported here, so in-process callers of main() never load signal
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

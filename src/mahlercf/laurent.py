@@ -11,15 +11,17 @@ independent oracle for the recurrence's (alpha_i, beta_i).
 The classical expansion  f = b_0 + 1/(b_1 + 1/(b_2 + ...))  comes from a
 remainder sequence, with no series inversion: s_-1 = 1, s_0 = f - b_0,
 b_k+1 = polynomial part of s_k-1 / s_k, s_k+1 = s_k-1 - b_k+1 s_k, exact
-down to max(floor s_k-1, floor s_k + deg b_k+1). A quotient is emitted only
+down to floor s_k + deg b_k+1 (floors never fall). Inside cf_extract a
+remainder is a plain coefficient list, and one loop over the entries of
+s_k-1 does both the long division (the first deg b_k+1 + 1 entries give
+b_k+1) and the subtraction (the rest are s_k+1). A quotient is emitted only
 when the coefficients its long division reads lie at or above the floors;
 below them it could change with a deeper expansion. A quotient of degree d
-costs O(depth * d), so n linear ones cost O(n * depth). The expansion is
-renormalised to constant numerators over monic quotients via the
-equivalence transform a_i = b_i/lam_i, beta_1 = 1/lam_1,
-beta_i = 1/(lam_{i-1} lam_i) for i >= 2, where lam_i is the leading
-coefficient of b_i. The transform is validated by the oracle-equivalence
-tests, not trusted a priori.
+costs O(depth * d), so n linear ones cost O(n * depth). The expansion is renormalised to constant numerators over
+monic quotients via the equivalence transform a_i = b_i/lam_i,
+beta_1 = 1/lam_1, beta_i = 1/(lam_{i-1} lam_i) for i >= 2, where lam_i is
+the leading coefficient of b_i. The transform is validated by the
+oracle-equivalence tests, not trusted a priori.
 """
 
 from __future__ import annotations
@@ -84,18 +86,9 @@ class Polynomial:
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial([self.coeff(d) + other.coeff(d) for d in range(n)])
 
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial([self.coeff(d) - other.coeff(d) for d in range(n)])
-
-    def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
-
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            return self.scale(other)
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return Polynomial()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -104,8 +97,6 @@ class Polynomial:
                 out[i + j] = out[i + j] + a * b
         return Polynomial(out)
 
-    __rmul__ = __mul__
-
     def scale(self, c):
         return Polynomial([a * c for a in self.coeffs])
 
@@ -113,21 +104,12 @@ class Polynomial:
         lam = self.leading
         return Polynomial([a / lam for a in self.coeffs])
 
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __eq__(self, other):
         if isinstance(other, Polynomial):
             return self.degree == other.degree and all(
                 a == b for a, b in zip(self.coeffs, other.coeffs)
             )
         return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
 
     def __repr__(self):
         if self.is_zero():
@@ -180,42 +162,6 @@ class LaurentSeries:
             raise InsufficientDepth(f"coefficient of degree {d} is below floor {self.floor}")
         return self.coeffs[self.top_degree - d]
 
-    def truncate(self, new_floor: int) -> "LaurentSeries":
-        if new_floor < self.floor:
-            raise InsufficientDepth(
-                f"cannot deepen floor {self.floor} to {new_floor} by truncation"
-            )
-        if new_floor > self.top_degree:
-            return LaurentSeries(new_floor, [Fraction(0)], new_floor)
-        return LaurentSeries(self.top_degree, self.coeffs[: self.top_degree - new_floor + 1], new_floor)
-
-    def mul_poly(self, q: Polynomial) -> "LaurentSeries":
-        """Product with a polynomial; exact down to floor + deg q."""
-        if q.is_zero():
-            raise ValueError("multiplication by the zero polynomial discards the floor")
-        dq = q.degree
-        top = self.top_degree + dq
-        flo = self.floor + dq
-        out = []
-        for d in range(top, flo - 1, -1):
-            s = 0
-            for j, c in enumerate(q.coeffs):
-                if c == 0:
-                    continue
-                e = d - j
-                if e <= self.top_degree:
-                    s = s + c * self.coeff(e)
-            out.append(s)
-        return LaurentSeries(top, out, flo)
-
-    def add_poly(self, q: Polynomial) -> "LaurentSeries":
-        top = max(self.top_degree, q.degree)
-        out = [self.coeff(d) + q.coeff(d) for d in range(top, self.floor - 1, -1)]
-        return LaurentSeries(top, out, self.floor)
-
-    def sub_poly(self, q: Polynomial) -> "LaurentSeries":
-        return self.add_poly(-q)
-
     def poly_part(self) -> Polynomial:
         """Terms of degree >= 0; needs floor <= 0 unless the window is empty."""
         if self.top_degree < 0:
@@ -229,13 +175,6 @@ class LaurentSeries:
         top = min(self.top_degree, -1)
         out = [self.coeff(d) for d in range(top, self.floor - 1, -1)]
         return LaurentSeries(top, out, self.floor)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "top_degree": self.top_degree,
-            "floor": self.floor,
-            "coefficients": [str(c) for c in self.coeffs],
-        }
 
     def __eq__(self, other):
         if isinstance(other, LaurentSeries):
@@ -327,34 +266,39 @@ def cf_extract(g: LaurentSeries, max_terms: int) -> CFExpansion:
     if g.is_zero_to_floor():
         raise InsufficientDepth("series is zero to its floor; nothing to expand")
     a0 = g.poly_part()
-    prev = LaurentSeries(0, [Fraction(1)] + [Fraction(0)] * -g.floor, g.floor)  # s_-1 = 1
-    cur = g.fractional_part()
+    # A remainder is its coefficient list from one degree below the valuation
+    # of the remainder before it, down to its floor. Floors never fall, so a
+    # quotient's degree is one more than the leading zeros of the remainder,
+    # and only the remainder's own floor limits the long division.
+    prev = [Fraction(1)] + [Fraction(0)] * -g.floor  # s_-1 = 1
+    cur = [g.coeff(d) for d in range(-1, g.floor - 1, -1)]  # s_0 = g - a0
     pairs = []
     lam_prev = 1  # beta_1 = 1/lam_1
     for _ in range(max_terms):
-        val = cur.known_valuation()
-        if val is None:
+        lead = next((j for j, c in enumerate(cur) if c != 0), None)
+        if lead is None:
             raise InsufficientDepth(
                 "cannot invert a series that is zero to its floor", CFExpansion(a0, pairs)
             )
-        deg = prev.top_degree - val  # prev is trimmed: its top degree is its valuation
-        # long division reads prev down to val and cur down to val - deg
-        if prev.floor > val or cur.floor > val - deg:
+        cur, deg = cur[lead:], lead + 1
+        # long division reads cur down to deg degrees below its valuation
+        if len(cur) <= deg:
             raise InsufficientDepth("floor above degree 0: polynomial part not certified")
-        q = []  # q[i] is the coefficient of z^(deg - i) in the quotient
-        for i in range(deg + 1):
-            acc = prev.coeffs[i]
-            for j in range(1, i + 1):
-                acc = acc - cur.coeffs[j] * q[i - j]
-            q.append(acc / cur.coeffs[0])
+        # entry t of prev minus (q * cur) at the same degree; q[i] is the
+        # coefficient of z^(deg - i), and the entries past deg are s_k+1
+        q, rest = [], []
+        for t in range(len(cur)):
+            acc = prev[t]
+            for i in range(min(t, deg + 1)):
+                acc = acc - q[i] * cur[t - i]
+            if t <= deg:
+                q.append(acc / cur[0])
+            else:
+                rest.append(acc)
         b = Polynomial(reversed(q))
-        prod = cur.mul_poly(b)  # exact down to floor s_k + deg b
-        floor = max(prev.floor, prod.floor)
-        # degrees >= val cancel by the choice of b
-        rest = [prev.coeff(d) - prod.coeff(d) for d in range(val - 1, floor - 1, -1)]
         pairs.append((1 / (lam_prev * b.leading), b.monic()))
         lam_prev = b.leading
-        prev, cur = cur, LaurentSeries(val - 1, rest, floor)
+        prev, cur = cur, rest
     return CFExpansion(a0, pairs)
 
 
@@ -413,13 +357,13 @@ def residual_valuation(g: LaurentSeries, p_k: Polynomial, q_k: Polynomial) -> in
     Raises InsufficientDepth when the residual is zero down to its floor,
     i.e. the expansion is too shallow to certify the valuation.
     """
-    residual = g.mul_poly(q_k).sub_poly(p_k)
-    val = residual.known_valuation()
-    if val is None:
-        raise InsufficientDepth(
-            f"residual vanishes above floor {residual.floor}: valuation not certified"
-        )
-    return val
+    if q_k.is_zero():
+        raise ValueError("multiplication by the zero polynomial discards the floor")
+    floor = g.floor + q_k.degree  # q_k g is exact down to here
+    for d in range(max(g.top_degree + q_k.degree, p_k.degree), floor - 1, -1):
+        if sum(c * g.coeff(d - j) for j, c in enumerate(q_k.coeffs)) != p_k.coeff(d):
+            return d
+    raise InsufficientDepth(f"residual vanishes above floor {floor}: valuation not certified")
 
 
 def mu_estimate(degrees) -> Fraction:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import signal
 import subprocess
 import sys
 import time
@@ -19,7 +20,9 @@ from mahlercf.cli import (
     EXIT_NO_PRECISION,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_BLOCKS,
     MAX_DENSITY_CELLS,
+    MAX_DEPTH,
     MAX_HORIZON,
     MAX_PRIMES_MAX,
     main,
@@ -213,6 +216,36 @@ class TestCf:
         assert len(info.value.certified) == 6
         assert not laurent.convergent_is_g(1, -2, info.value.certified)
 
+    @pytest.mark.parametrize("command", ["cf", "mu"])
+    @pytest.mark.parametrize("flags, expect", [
+        (["-n", str((MAX_DEPTH - 2) // 2)],
+         f"first expansion depth of {MAX_DEPTH + 2}, above the limit of {MAX_DEPTH}"),
+        (["-n", "12", "--depth-cap", str(MAX_DEPTH + 1)],
+         f"--depth-cap {MAX_DEPTH + 1} is above the limit of {MAX_DEPTH}"),
+    ], ids=["n", "depth-cap"])
+    def test_depth_above_limit_is_usage_error(self, monkeypatch, capsys, command, flags, expect):
+        refused_before_any_run(
+            monkeypatch, capsys, [command, "-u=1", "-v=-2", *flags],
+            (laurent, "expand_g"), (recurrence, "init_run"), expect=expect,
+        )
+
+    @pytest.mark.parametrize("n, expected", [
+        (200, [404, 808, 1616, 3232, 6464, 12928, MAX_DEPTH]),
+        ((MAX_DEPTH - 4) // 2, [MAX_DEPTH]),
+    ])
+    def test_default_cap_is_clamped(self, monkeypatch, capsys, n, expected):
+        # 64 (2n + 4) is above MAX_DEPTH: the doubling stops at MAX_DEPTH
+        depths = []
+
+        def refuse(g, terms):
+            raise laurent.InsufficientDepth("stub")
+
+        monkeypatch.setattr(laurent, "expand_g", lambda u, v, depth: depths.append(depth))
+        monkeypatch.setattr(laurent, "cf_extract", refuse)
+        code, doc = run_json(capsys, "mu", "-u=2", "-v=3", "-n", str(n))
+        assert (code, doc["depth_cap"]) == (EXIT_NO_PRECISION, MAX_DEPTH)
+        assert depths == expected
+
     def test_nonlinear_quotient_exits_2(self, capsys):
         code, doc = run_json(capsys, "cf", "-u", "2", "-v", "4", "-n", "3")
         assert code == EXIT_MATH_FAILURE
@@ -376,6 +409,16 @@ class TestVerifyLemma:
         [instance] = doc["instances"]
         assert (instance["params"]["u"], instance["params"]["sign"]) == (5, -1)
 
+    def test_blocks_above_limit_is_usage_error(self, monkeypatch, capsys):
+        # a run keeps 9K + 9 entries of history, like `recurrence -n`
+        assert 9 * MAX_BLOCKS + 9 <= MAX_HORIZON < 9 * (MAX_BLOCKS + 1) + 9
+        err = refused_before_any_run(
+            monkeypatch, capsys,
+            ["verify-lemma", "--lemma", "1", "-p", "13", "-K", str(MAX_BLOCKS + 1)],
+            (recurrence, "history_mod_p"), expect=f"limit of {MAX_BLOCKS}",
+        )
+        assert f"-K {MAX_BLOCKS + 1}" in err
+
     @pytest.mark.parametrize("p, instances", [(10**6 + 3, 0), (1_000_033, 2)])
     def test_prime_above_a_million(self, capsys, p, instances):
         # lemma 1 needs a square root of 3: none mod 10^6 + 3 (7 mod 12),
@@ -435,6 +478,21 @@ class TestPlumbing:
         )
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["betas"] == [1, 2, 1, 1, 1, 1, 1, 1, 1]
+
+    def test_closed_stdout_ends_quietly(self):
+        # the 1.4 MB document meets a reader that stops after 10 bytes: the
+        # process ends by SIGPIPE, as a Unix filter does, with no traceback
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mahlercf.cli", "recurrence",
+             "-u", "5", "-v", "1", "-p", "11", "-n", "100000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == -signal.SIGPIPE
+        assert b"Traceback" not in err
 
     def test_numpy_loaded_only_by_array_kernels(self, tmp_path):
         # a fresh interpreter: importing the CLI and running the scalar
