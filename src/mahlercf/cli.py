@@ -43,7 +43,7 @@ MAX_BLOCKS = (MAX_HORIZON - 9) // 9
 
 # Largest expansion depth of `cf` and `mu`, the default cap of `-n 101`.
 # It bounds memory, not time: on (1, -2), which doubles its depth to the
-# cap, expand_g to 13184 takes 1.3 s, and the extraction had certified 82
+# cap, expand_g to 13184 takes ~0.03 s, but the extraction had certified 82
 # quotients at ~39 MB after 200 s and was still running at 240 s (peak RSS
 # of a fresh process); its remainder coefficients grow with every quotient.
 MAX_DEPTH = 64 * 206
@@ -87,8 +87,11 @@ def _nonnegative(text: str) -> int:
 def _emit(doc, args) -> None:
     text = doc if isinstance(doc, str) else json.dumps(doc, indent=2)
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise SystemExit(f"cannot write --out {args.out}: {exc.strerror}")
     else:
         print(text)
 
@@ -181,9 +184,7 @@ def _depth_cap(args) -> int:
 def cmd_cf(args) -> int:
     n = args.n
     depth_cap = _depth_cap(args)
-    run = recurrence.init_run(args.u, args.v)
-    if run.ok:
-        run.extend(n)
+    run = recurrence.run_over_q(args.u, args.v, n)
     history = {
         "alphas": _scalar_list(run.alphas[:n]),
         "betas": _scalar_list(run.betas[:n]),

@@ -1,31 +1,30 @@
-"""Hot numeric kernels: mod-p recurrence runs, full F_p^2 survivor scans,
-and the integer-grid coverage count.
+"""Hot numeric kernels: the block recurrence over Q and mod p, full F_p^2
+survivor scans, and the integer-grid coverage count.
 
-One engine: every mod-p run, single or in a scan, is the scalar loop
-``run_history`` on Python ints, which cannot overflow. Its two inversions
-per block go through a memo that lives for one call: one ``pow`` per
-distinct divisor, at most two entries per block. A survivor at a small p
-meets a handful of distinct betas, so nearly every inversion is a lookup;
-at a large p, where residues rarely repeat, the memo saves nothing and
-costs memory and a little time. The coverage count marks each condition
-pair's lattice in a boolean grid with strided slices. numpy is imported
-only inside the two kernels whose product is an array, ``scan_grid`` and
-``density_count``; importing this module loads none.
+One engine: every run, over Q or mod p, single or in a scan, is the scalar
+loop ``run_history``. Mod p it works on Python ints, which cannot overflow;
+over Q it is the same loop on Fractions, with the modulus ``Q``, for which
+reducing is the identity and an inverse is 1/x. Its inversions go through a
+memo that lives for one call: one inversion per distinct divisor, at most
+two entries per block. A survivor at a small p meets a handful of distinct
+betas, so nearly every inversion is a lookup; at a large p, where residues
+rarely repeat, the memo saves nothing and costs memory and a little time.
+The coverage count marks each condition pair's lattice in a boolean grid
+with strided slices. numpy is imported only inside the two kernels whose
+product is an array, ``scan_grid`` and ``density_count``; importing this
+module loads none.
 
 A scan runs half of F_p^2, since every beta_i is even in u and every
 alpha_i odd. The seeds are, and each block step keeps it: beta_{3k+4} and
 beta_{3k+5} come from betas and u^2 - v; alpha_{3k+5} = u - (odd + uv -
 odd * even) / even is odd, so is alpha_{3k+6} = u - alpha_{3k+5}, and
 beta_{3k+6} = v - odd * odd is even. So (u, v) and (-u, v) stop at the
-same index for the same cause.
+same index.
 
-All kernels work on plain integer residues; exact Fraction work lives
-elsewhere.
-
-Failure causes are encoded as ints: 0 = ok, 1 = a beta entry equals zero.
-Only beta_2, beta_3, beta_{3k+5} and beta_{3k+6} can vanish: beta_{3k+4} =
-beta_{k+2}/(beta_{3k+3} beta_{3k+2}) is a quotient of earlier betas, all
-already nonzero, so no division ever meets a zero divisor.
+A run stops only at a zero beta. Only beta_2, beta_3, beta_{3k+5} and
+beta_{3k+6} can vanish: beta_{3k+4} = beta_{k+2}/(beta_{3k+3} beta_{3k+2})
+is a quotient of earlier betas, all already nonzero, so no division ever
+meets a zero divisor.
 """
 
 from __future__ import annotations
@@ -35,8 +34,18 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy
 
-OK = 0
-CAUSE_BETA_ZERO = 1
+
+class _Rationals:
+    """The modulus of a run over Q: ``x % Q`` is x itself, and the inverse
+    memo of a run over Q divides, so ``run_history`` needs no second loop."""
+
+    __slots__ = ()
+
+    def __rmod__(self, x):
+        return x
+
+
+Q = _Rationals()
 
 
 def get_backend() -> str:
@@ -45,47 +54,46 @@ def get_backend() -> str:
 
 
 class _Inverses(dict):
-    """Inverses mod p by residue, each computed by ``pow`` on first lookup."""
+    """Inverses mod p (1/x over Q) by value, each computed on first lookup."""
 
     __slots__ = ("p",)
 
-    def __init__(self, p: int):
+    def __init__(self, p):
         super().__init__()
         self.p = p
 
-    def __missing__(self, x: int) -> int:
-        y = self[x] = pow(x, -1, self.p)
+    def __missing__(self, x):
+        y = self[x] = 1 / x if self.p is Q else pow(x, -1, self.p)
         return y
 
 
-def run_history(u: int, v: int, p: int, n: int):
-    """Mod-p recurrence history to the block boundary >= max(n, 3), or to
-    the first failure.
+def run_history(u, v, p, n: int):
+    """Recurrence history to the block boundary >= max(n, 3), or to the
+    first zero beta, mod the odd prime p or over ``Q``.
 
-    Returns (alphas, betas, fail_index, cause): lists indexed 1.. (slot 0
-    unused) that end where the run stopped, and fail_index 0 when no beta
-    vanished. They hold exactly what RecurrenceRun records: a zero beta is
-    kept at its index, and alpha_{3k+5} is absent when beta_{3k+5} is the
-    zero.
+    Returns (alphas, betas, fail_index): lists indexed 1.. (slot 0 unused)
+    that end where the run stopped, and fail_index 0 when no beta vanished.
+    A zero beta is kept at its index, and alpha_{3k+5} is absent when
+    beta_{3k+5} is the zero. Mod p, u and v are ints; over Q, Fractions.
 
-    The two inversions of a block go through a memo that lives for this
-    call only, so each distinct divisor costs one ``pow``: a survivor meets
-    few distinct betas and repeats nearly every inversion. The memo holds at
-    most two entries per block; at a large p, where residues rarely repeat,
-    it costs memory and a little time instead of saving it.
+    The inversions go through a memo that lives for this call only, so each
+    distinct divisor costs one ``pow`` (one division over Q): a survivor
+    meets few distinct betas and repeats nearly every inversion. The memo
+    holds at most two entries per block; at a large p, where residues rarely
+    repeat, it costs memory and a little time instead of saving it.
     """
     u %= p
     v %= p
     alphas = [0, -u % p]
     betas = [0, 1, (u * u - v) % p]
     if betas[2] == 0:
-        return alphas, betas, 2, CAUSE_BETA_ZERO
-    dinv = pow(v - u * u, -1, p)
+        return alphas, betas, 2
+    inv = _Inverses(p)
+    dinv = inv[-betas[2] % p]
     alphas += (u * (2 * v - 1 - u * u) * dinv % p, -u * (v - 1) * dinv % p)
     betas.append((u * u + u ** 4 + v ** 3 - 3 * u * u * v) * dinv * dinv % p)
     if betas[3] == 0:
-        return alphas, betas, 3, CAUSE_BETA_ZERO
-    inv = _Inverses(p)
+        return alphas, betas, 3
     c = (u * u - v) % p
     uv = u * v
     neg_u = -u % p
@@ -98,22 +106,22 @@ def run_history(u: int, v: int, p: int, n: int):
         b5 = (c - b4) % p
         betas.append(b5)
         if b5 == 0:
-            return alphas, betas, i + 2, CAUSE_BETA_ZERO
+            return alphas, betas, i + 2
         a5 = (u - (alphas[k + 2] + uv - alphas[i - 1] * b4) * inv[b5]) % p
         a6 = (u - a5) % p
         alphas += (a5, a6)
         b6 = (v - a5 * a6) % p
         betas.append(b6)
         if b6 == 0:
-            return alphas, betas, i + 3, CAUSE_BETA_ZERO
+            return alphas, betas, i + 3
         k += 1
         i += 3
-    return alphas, betas, 0, OK
+    return alphas, betas, 0
 
 
 def first_zero(u: int, v: int, p: int, max_index: int) -> int:
     """Smallest index <= max_index whose beta vanishes mod p, or 0 if none."""
-    _, _, idx, _ = run_history(u, v, p, max_index)
+    _, _, idx = run_history(u, v, p, max_index)
     return idx if 0 < idx <= max_index else 0
 
 

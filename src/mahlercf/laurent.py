@@ -238,20 +238,13 @@ def expand_g(u, v, depth: int) -> LaurentSeries:
         raise ValueError("depth must be >= 1")
     u = as_scalar(u)
     v = as_scalar(v)
-    # c[j] is the coefficient of z^(-1-j)
-    c = [Fraction(0)] * depth
-    c[0] = Fraction(1)
-    step = 1
-    while step <= depth:
-        two = 2 * step
-        for j in range(depth - 1, -1, -1):
-            s = c[j]
-            if j >= step:
-                s = s + u * c[j - step]
-            if j >= two:
-                s = s + v * c[j - two]
-            c[j] = s
-        step *= 3
+    # The coefficient of z^(-1-m) is the product of (1, u, v)[d] over the
+    # base-3 digits d of m: each factor t contributes 1, u z^-3^t or
+    # v z^-2*3^t, one per digit of m at 3^t.
+    digit = (1, u, v)
+    c = [Fraction(1)]
+    for m in range(1, depth):
+        c.append(c[m // 3] * digit[m % 3])
     return LaurentSeries(-1, c, -depth)
 
 

@@ -25,15 +25,15 @@ so no step divides by zero.
 
 Indexing is 1-based throughout, mirroring the subscripts above; the step
 3k+4 reads back index k+2, so the full history is kept (O(n) scalars).
-RecurrenceRun works over Q in Fractions (plain ints are lifted). Every run
-mod p is the int loop ``kernels.run_history``, read through run_mod_p,
-history_mod_p and first_beta_zero.
+The formulas are stepped in one place, ``kernels.run_history``: over Q in
+Fractions (plain ints are lifted) and over F_p in int residues. A
+RecurrenceRun is a view of one such run in either arithmetic;
+history_mod_p and first_beta_zero read the int loop directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import kernels
 from .fields import as_scalar, check_odd_prime
@@ -52,36 +52,30 @@ class Failure:
 
 
 class RecurrenceRun:
-    """The evolving (alpha_i, beta_i) sequences over Q for one pair (u, v).
+    """The (alpha_i, beta_i) sequences of one pair (u, v), seeded to length
+    3: over Q in Fractions by default, or over F_p for an odd prime p, where
+    u, v and every entry are residues in [0, p).
 
     ``alpha(i)``/``beta(i)`` are 1-based. On BETA_ZERO the zero entry exists
     (``beta(failure.index) == 0``) and nothing beyond it; the alpha list may
     then be one entry shorter when the failure hit an index of the form
-    3k+5. Completed or failed runs are immutable in spirit: only
-    :meth:`extend` appends, and only while ``ok``.
+    3k+5. Only :meth:`extend` grows a run, and only while ``ok``.
     """
 
-    __slots__ = ("u", "v", "_alphas", "_betas", "failure")
+    __slots__ = ("u", "v", "p", "alphas", "betas", "failure")
 
-    def __init__(self, u, v):
-        u = as_scalar(u)
-        v = as_scalar(v)
-        self.u = u
-        self.v = v
-        self.failure = None
-        b2 = u * u - v
-        self._alphas = [-u]
-        self._betas = [Fraction(1), b2]
-        if b2 == 0:
-            self.failure = Failure(2, BETA_ZERO)
-            return
-        d = v - u * u
-        self._alphas.append(u * (2 * v - 1 - u * u) / d)
-        self._alphas.append(-u * (v - 1) / d)
-        b3 = (u * u + u ** 4 + v ** 3 - 3 * u * u * v) / (d * d)
-        self._betas.append(b3)
-        if b3 == 0:
-            self.failure = Failure(3, BETA_ZERO)
+    def __init__(self, u, v, p=kernels.Q):
+        if p is kernels.Q:
+            u, v = as_scalar(u), as_scalar(v)
+        else:
+            check_odd_prime(p)
+        self.u, self.v, self.p = u % p, v % p, p
+        self._run(3)
+
+    def _run(self, n: int) -> None:
+        alphas, betas, idx = kernels.run_history(self.u, self.v, self.p, n)
+        self.alphas, self.betas = tuple(alphas[1:]), tuple(betas[1:])
+        self.failure = Failure(idx, BETA_ZERO) if idx else None
 
     @property
     def ok(self) -> bool:
@@ -89,50 +83,20 @@ class RecurrenceRun:
 
     def __len__(self):
         # number of recorded beta entries
-        return len(self._betas)
+        return len(self.betas)
 
     def alpha(self, i: int):
-        if not 1 <= i <= len(self._alphas):
-            raise IndexError(f"alpha index {i} outside 1..{len(self._alphas)}")
-        return self._alphas[i - 1]
+        if not 1 <= i <= len(self.alphas):
+            raise IndexError(f"alpha index {i} outside 1..{len(self.alphas)}")
+        return self.alphas[i - 1]
 
     def beta(self, i: int):
-        if not 1 <= i <= len(self._betas):
-            raise IndexError(f"beta index {i} outside 1..{len(self._betas)}")
-        return self._betas[i - 1]
-
-    @property
-    def alphas(self) -> tuple:
-        return tuple(self._alphas)
-
-    @property
-    def betas(self) -> tuple:
-        return tuple(self._betas)
-
-    def _step_block(self) -> None:
-        # appends indices 3k+4 .. 3k+6; sets self.failure on a zero
-        u, v = self.u, self.v
-        a, b = self._alphas, self._betas
-        k = len(b) // 3 - 1
-        a.append(-u)
-        b4 = b[k + 1] / (b[3 * k + 2] * b[3 * k + 1])  # beta_{k+2}/(beta_{3k+3} beta_{3k+2})
-        b.append(b4)
-        b5 = u * u - v - b4
-        b.append(b5)
-        if b5 == 0:
-            self.failure = Failure(3 * k + 5, BETA_ZERO)
-            return
-        a5 = u - (a[k + 1] + u * v - a[3 * k + 1] * b4) / b5
-        a.append(a5)
-        a6 = u - a5
-        a.append(a6)
-        b6 = v - a5 * a6
-        b.append(b6)
-        if b6 == 0:
-            self.failure = Failure(3 * k + 6, BETA_ZERO)
+        if not 1 <= i <= len(self.betas):
+            raise IndexError(f"beta index {i} outside 1..{len(self.betas)}")
+        return self.betas[i - 1]
 
     def extend(self, target_len: int) -> "RecurrenceRun":
-        """Grow the run in blocks of three until len(self) >= target_len.
+        """Rerun to whole blocks of three until len(self) >= target_len.
 
         The final length lands on the next multiple of 3. Raises
         ExtendAfterFailure when called on a failed run.
@@ -142,8 +106,8 @@ class RecurrenceRun:
                 f"run for (u, v) = ({self.u}, {self.v}) failed at index "
                 f"{self.failure.index} ({self.failure.cause})"
             )
-        while self.ok and len(self._betas) < target_len:
-            self._step_block()
+        if len(self.betas) < target_len:
+            self._run(target_len)
         return self
 
 
@@ -160,36 +124,16 @@ def extend_run(run: RecurrenceRun, target_len: int) -> RecurrenceRun:
 def run_over_q(u, v, n: int) -> RecurrenceRun:
     """Run over Q to length >= n or first failure."""
     run = RecurrenceRun(u, v)
-    if run.ok:
-        run.extend(n)
-    return run
+    return run.extend(n) if run.ok else run
 
 
-@dataclass(frozen=True)
-class ModPRun:
-    """A finished run over F_p, read-only: residues u, v in [0, p) and the
-    alphas/betas that RecurrenceRun would record, as tuples of residues."""
-
-    u: int
-    v: int
-    alphas: tuple
-    betas: tuple
-    failure: Failure | None
-
-    @property
-    def ok(self) -> bool:
-        return self.failure is None
-
-
-def run_mod_p(u: int, v: int, p: int, n: int) -> ModPRun:
+def run_mod_p(u: int, v: int, p: int, n: int) -> RecurrenceRun:
     """Run over F_p to length >= n or first failure.
 
     Like run_over_q, a failure inside the last block counts even past n.
     """
-    check_odd_prime(p)
-    alphas, betas, idx, _ = kernels.run_history(u, v, p, max(n, 3))
-    failure = Failure(idx, BETA_ZERO) if idx else None
-    return ModPRun(u % p, v % p, tuple(alphas[1:]), tuple(betas[1:]), failure)
+    run = RecurrenceRun(u, v, p)
+    return run.extend(n) if run.ok else run
 
 
 def history_mod_p(u: int, v: int, p: int, n: int):
@@ -200,7 +144,7 @@ def history_mod_p(u: int, v: int, p: int, n: int):
     n does not count: the run survived the requested horizon.
     """
     check_odd_prime(p)
-    alphas, betas, idx, _ = kernels.run_history(u, v, p, n)
+    alphas, betas, idx = kernels.run_history(u, v, p, n)
     failure = Failure(idx, BETA_ZERO) if 0 < idx <= n else None
     return alphas, betas, failure
 

@@ -226,7 +226,7 @@ class TestCf:
     def test_depth_above_limit_is_usage_error(self, monkeypatch, capsys, command, flags, expect):
         refused_before_any_run(
             monkeypatch, capsys, [command, "-u=1", "-v=-2", *flags],
-            (laurent, "expand_g"), (recurrence, "init_run"), expect=expect,
+            (laurent, "expand_g"), (recurrence, "run_over_q"), expect=expect,
         )
 
     @pytest.mark.parametrize("n, expected", [
@@ -521,6 +521,16 @@ assert isinstance(grid, numpy.ndarray) and grid.dtype == numpy.int32
         assert code == EXIT_OK
         doc = json.loads(path.read_text())
         assert doc["betas"] == ["1", "1", "11"]
+
+    @pytest.mark.parametrize("name", ["missing/x.json", ""], ids=["no-such-directory", "a-directory"])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, name):
+        # the work is done by then; the write fails with one line naming the path
+        path = str(tmp_path / name)
+        code = main(["check", "-u", "2", "-v", "0", "-p", "7", "--out", path])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and f"--out {path}:" in captured.err
 
     def test_config_file_is_not_an_option(self, capsys, tmp_path):
         # every setting comes from its flag

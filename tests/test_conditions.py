@@ -22,6 +22,41 @@ PAIRS_P7 = {
 }
 
 
+def witness_holds(w) -> bool:
+    """Re-check a witness's defining congruences from its stored fields alone."""
+    p, u, v = w.p, w.u, w.v
+    if w.case == "C1":
+        return (u * u - 3) % p == 0 and v == 1 % p
+    if w.case == "C2":
+        return (u * u + 3) % p == 0 and v == -1 % p
+    if w.case == "C3":
+        f = w.phi
+        return (f * f + f + 1) % p == 0 and u == w.sign * f % p and v == 0
+    if w.case == "C4":
+        f = w.phi
+        return (f ** 4 + 4 * f * f + 1) % p == 0 and u == w.sign * f % p and v == -1 % p
+    if w.case == "C5":
+        f, d = w.phi, w.delta
+        return (
+            (d * d - d + 1) % p == 0
+            and (f * f - 2 * d) % p == 0
+            and u == w.sign * f % p
+            and v == d % p
+        )
+    if w.case == "C6":
+        d = w.delta
+        return (d * d + d + 1) % p == 0 and u == 0 and v == w.sign * d % p
+    if w.case == "C7":
+        d = w.delta
+        return (
+            p != 3
+            and (d * d + d + 1) % p == 0
+            and u == w.sign * 2 * d * d % p
+            and v == d % p
+        )
+    return False
+
+
 class TestCheckPair:
     def test_c1_at_11(self):
         ws = check_pair(5, 1, 11)
@@ -83,7 +118,7 @@ class TestSatisfyingPairs:
     @pytest.mark.parametrize("p", primes_between(3, 100))
     def test_witness_validity(self, p):
         for w in iter_witnesses(p):
-            assert w.validate(), w
+            assert witness_holds(w), w
 
     def test_each_case_contributes_few_pairs(self):
         for p in primes_between(3, 100):

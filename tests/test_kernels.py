@@ -17,38 +17,36 @@ from mahlercf.fields import primes_between
 from mahlercf.recurrence import run_over_q
 
 
-DIV_ZERO = 2  # the reference's own cause for a zero divisor; never returned
-
-
 def reference_run_history(u, v, p, n):
     """run_history as a plain loop: two ``pow`` inversions per block, no memo,
     with a check before every division and on every beta, so the differential
-    tests show that the kernel's unchecked steps never needed one."""
+    tests show that the kernel's unchecked steps never needed one (a zero
+    divisor returns the index negated, which the kernel never does)."""
     u %= p
     v %= p
     alphas = [0, -u % p]
     betas = [0, 1, (u * u - v) % p]
     if betas[2] == 0:
-        return alphas, betas, 2, kernels.CAUSE_BETA_ZERO
+        return alphas, betas, 2
     dinv = pow(v - u * u, -1, p)
     alphas += (u * (2 * v - 1 - u * u) * dinv % p, -u * (v - 1) * dinv % p)
     betas.append((u * u + u ** 4 + v ** 3 - 3 * u * u * v) * dinv * dinv % p)
     if betas[3] == 0:
-        return alphas, betas, 3, kernels.CAUSE_BETA_ZERO
+        return alphas, betas, 3
     k = 0
     while 3 * k + 3 < n:
         alphas.append(-u % p)
         denom = betas[3 * k + 3] * betas[3 * k + 2] % p
         if denom == 0:
-            return alphas, betas, 3 * k + 4, DIV_ZERO
+            return alphas, betas, -(3 * k + 4)
         b4 = betas[k + 2] * pow(denom, -1, p) % p
         betas.append(b4)
         if b4 == 0:
-            return alphas, betas, 3 * k + 4, kernels.CAUSE_BETA_ZERO
+            return alphas, betas, 3 * k + 4
         b5 = (u * u - v - b4) % p
         betas.append(b5)
         if b5 == 0:
-            return alphas, betas, 3 * k + 5, kernels.CAUSE_BETA_ZERO
+            return alphas, betas, 3 * k + 5
         a5 = (alphas[k + 2] + u * v - alphas[3 * k + 2] * b4) % p
         a5 = (u - a5 * pow(b5, -1, p)) % p
         a6 = (u - a5) % p
@@ -56,9 +54,9 @@ def reference_run_history(u, v, p, n):
         b6 = (v - a5 * a6) % p
         betas.append(b6)
         if b6 == 0:
-            return alphas, betas, 3 * k + 6, kernels.CAUSE_BETA_ZERO
+            return alphas, betas, 3 * k + 6
         k += 1
-    return alphas, betas, 0, kernels.OK
+    return alphas, betas, 0
 
 
 class TestRunHistoryAgainstReference:
@@ -151,8 +149,8 @@ def test_history_matches_field_elements():
                 idx = len(rb) if rb[-1] == 0 else 0
                 n_alphas = idx - (idx % 3 == 2) if idx else len(qrun.alphas)
                 ra = [a.numerator * pow(a.denominator, -1, p) % p for a in qrun.alphas[:n_alphas]]
-                alphas, betas, fail, cause = kernels.run_history(u, v, p, n)
-                assert (fail, cause) == ((idx, kernels.CAUSE_BETA_ZERO) if idx else (0, kernels.OK))
+                alphas, betas, fail = kernels.run_history(u, v, p, n)
+                assert fail == idx
                 assert betas[1:] == rb, (u, v, p)
                 assert alphas[1:] == ra, (u, v, p)
 
@@ -172,9 +170,9 @@ def test_run_over_q_is_even_in_betas_and_odd_in_alphas():
 def test_run_history_is_even_in_betas_and_odd_in_alphas(p):
     for u in range(p // 2 + 1):
         for v in range(p):
-            alphas, betas, fail, cause = kernels.run_history(u, v, p, 300)
-            m_alphas, m_betas, m_fail, m_cause = kernels.run_history(-u, v, p, 300)
-            assert (m_fail, m_cause) == (fail, cause), (u, v, p)
+            alphas, betas, fail = kernels.run_history(u, v, p, 300)
+            m_alphas, m_betas, m_fail = kernels.run_history(-u, v, p, 300)
+            assert m_fail == fail, (u, v, p)
             assert m_betas == betas, (u, v, p)
             assert m_alphas[1:] == [-a % p for a in alphas[1:]], (u, v, p)
 

@@ -101,6 +101,24 @@ class TestExpand:
         with pytest.raises(InsufficientDepth):
             s.coeff(-5)
 
+    def test_matches_finite_product(self):
+        # prod_t (1 + u x^(3^t) + v x^(2*3^t)) over 3^t <= 100, multiplied
+        # out, gives every coefficient of x^m = z^(-1-m) for m < 101; the
+        # depths 1..100 include every 3^k - 1, 3^k and 3^k + 1 below 101
+        rng = random.Random(11)
+        for _ in range(4):
+            u = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            v = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            product = Polynomial([1])
+            for t in range(5):
+                step = 3**t
+                product = product * Polynomial([1] + [0] * (step - 1) + [u] + [0] * (step - 1) + [v])
+            for depth in range(1, 101):
+                s = expand_g(u, v, depth)
+                assert [s.coeff(-1 - m) for m in range(depth)] == [
+                    product.coeff(m) for m in range(depth)
+                ], (u, v, depth)
+
 
 class TestExtract:
     def test_pure_z_inverse(self):
@@ -221,7 +239,7 @@ class TestOracleEquivalence:
         def reduce(x):
             return x.numerator * pow(x.denominator, -1, p) % p
 
-        alphas, betas, idx, _ = run_history(5, 1, p, n)
+        alphas, betas, idx = run_history(5, 1, p, n)
         assert idx == 0
         assert [reduce(cf.beta(i)) for i in range(1, n + 1)] == betas[1:]
         assert [reduce(a) for a in cf.linear_constants()] == alphas[1:]
