@@ -32,10 +32,11 @@ EXIT_NO_PRECISION = 3
 EXIT_USAGE = 64
 
 # Largest recurrence length and scan horizon: a run keeps its O(n) history,
-# and `recurrence -n 10**6` on a survivor peaks at ~215 MB at p = 11, ~311 MB
-# at p = 10**9 + 7 and ~414 MB at the largest admitted p, the largest prime
-# below PRIMALITY_LIMIT (82 bits), where residues rarely repeat and the
-# run's inverse memo keeps ~2 entries per block (peak RSS of a fresh process).
+# and `recurrence -n 10**6` on a survivor peaks at ~206 MB at p = 11, ~311 MB
+# at p = 10**9 + 7 and ~405 MB at the largest admitted p, the largest prime
+# below PRIMALITY_LIMIT (82 bits), where residues rarely repeat: the run's
+# inverse memo keeps ~2 entries per block and its block memo stops at
+# kernels._MAX_STEPS states (peak RSS of a fresh process).
 MAX_HORIZON = 10**6
 
 # Largest `verify-lemma -K`: a run keeps its history to index 9K+9.

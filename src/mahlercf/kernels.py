@@ -4,11 +4,18 @@ survivor scans, and the integer-grid coverage count.
 One engine: every run, over Q or mod p, single or in a scan, is the scalar
 loop ``run_history``. Mod p it works on Python ints, which cannot overflow;
 over Q it is the same loop on Fractions, with the modulus ``Q``, for which
-reducing is the identity and an inverse is 1/x. Its inversions go through a
-memo that lives for one call: one inversion per distinct divisor, at most
-two entries per block. A survivor at a small p meets a handful of distinct
-betas, so nearly every inversion is a lookup; at a large p, where residues
-rarely repeat, the memo saves nothing and costs memory and a little time.
+reducing is the identity and an inverse is 1/x. Two memos live for one
+call. The block memo maps the five values a block step reads to the
+alphas and betas it writes, so a block state met again is one dict
+lookup. A survivor mod p meets few block states, the finite 3-kernel of
+an automatic sequence (Allouche & Shallit, *Automatic Sequences*,
+Thm 6.6.2): over the 222 condition pairs with p <= 100, at most 32
+(median 9) to 10^4 indices and at most 48 to 10^6. So nearly every block
+of a long survivor run is a lookup. The inverse memo serves the misses:
+one inversion per distinct divisor, at most two entries per block. Where
+states rarely repeat, at a large p or in a scan past p ~ 40 where most
+pairs die within a few hundred indices, the memos save little and each
+block pays for a lookup that misses.
 The coverage count marks each condition pair's lattice in a boolean grid
 with strided slices. numpy is imported only inside the two kernels whose
 product is an array, ``scan_grid`` and ``density_count``; importing this
@@ -53,6 +60,14 @@ def get_backend() -> str:
     return "numpy"
 
 
+# Block states the block memo of one run keeps: past this, a run goes on
+# looking up but stores no more. Survivors need a few dozen, so a run that
+# fills it is one whose states do not repeat, such as any run at a large p,
+# and the bound keeps its memo from adding to the peak of a 10^6-index run
+# (405 -> 472 MB unbounded at the largest admitted prime, fresh process).
+_MAX_STEPS = 1024
+
+
 class _Inverses(dict):
     """Inverses mod p (1/x over Q) by value, each computed on first lookup."""
 
@@ -76,11 +91,20 @@ def run_history(u, v, p, n: int):
     A zero beta is kept at its index, and alpha_{3k+5} is absent when
     beta_{3k+5} is the zero. Mod p, u and v are ints; over Q, Fractions.
 
-    The inversions go through a memo that lives for this call only, so each
-    distinct divisor costs one ``pow`` (one division over Q): a survivor
-    meets few distinct betas and repeats nearly every inversion. The memo
-    holds at most two entries per block; at a large p, where residues rarely
-    repeat, it costs memory and a little time instead of saving it.
+    Block k writes beta_{3k+4}, beta_{3k+5}, alpha_{3k+5}, alpha_{3k+6} and
+    beta_{3k+6} (alpha_{3k+4} is -u) from five values: the cross-scale slot
+    alpha_{k+2}, beta_{k+2} and the carry alpha_{3k+2}, beta_{3k+2},
+    beta_{3k+3}. A memo that lives for this call keys on those five and
+    holds the block's alpha and beta triples and the next carry, so a block
+    state met again costs a lookup and two list extends: a survivor mod p
+    meets a few dozen states at most and repeats them for the rest of the
+    run. A zero beta_{3k+5} returns before anything is stored, and a stored
+    step with a zero beta_{3k+6} ends the run, so it is never met again.
+    The memo stops growing at ``_MAX_STEPS`` states. Its misses invert
+    through a second memo, one ``pow`` per distinct divisor (one division
+    over Q). Where states rarely repeat, as at a large p, each block pays
+    for a lookup that misses: a 10^6-index run at p = 10^9 + 7 takes ~13%
+    longer than without the block memo.
     """
     u %= p
     v %= p
@@ -97,22 +121,30 @@ def run_history(u, v, p, n: int):
     c = (u * u - v) % p
     uv = u * v
     neg_u = -u % p
+    steps = {}
+    a2, b2, b3 = alphas[2], betas[2], betas[3]  # alpha, beta at 3k+2; beta at 3k+3
     k = 0
     i = 3  # = 3k + 3, the last index of the previous block
     while i < n:
-        alphas.append(neg_u)
-        b4 = betas[k + 2] * inv[betas[i] * betas[i - 1] % p] % p
-        betas.append(b4)
-        b5 = (c - b4) % p
-        betas.append(b5)
-        if b5 == 0:
-            return alphas, betas, i + 2
-        a5 = (u - (alphas[k + 2] + uv - alphas[i - 1] * b4) * inv[b5]) % p
-        a6 = (u - a5) % p
-        alphas += (a5, a6)
-        b6 = (v - a5 * a6) % p
-        betas.append(b6)
-        if b6 == 0:
+        key = (alphas[k + 2], betas[k + 2], a2, b2, b3)
+        step = steps.get(key)
+        if step is None:
+            b4 = key[1] * inv[b3 * b2 % p] % p
+            b5 = (c - b4) % p
+            if b5 == 0:
+                alphas.append(neg_u)
+                betas += (b4, b5)
+                return alphas, betas, i + 2
+            a5 = (u - (key[0] + uv - a2 * b4) * inv[b5]) % p
+            a6 = (u - a5) % p
+            b6 = (v - a5 * a6) % p
+            step = (neg_u, a5, a6), (b4, b5, b6), a5, b5, b6
+            if len(steps) < _MAX_STEPS:
+                steps[key] = step
+        a_new, b_new, a2, b2, b3 = step
+        alphas += a_new
+        betas += b_new
+        if b3 == 0:  # beta_{3k+6}, only ever on a miss
             return alphas, betas, i + 3
         k += 1
         i += 3

@@ -16,7 +16,10 @@ with m = 1, c = 0 and b6 = 1, except in family 7 (m = 1/3, c = u/3,
 b6 = 1/9). Family 6 claims u = 0, so every one of its alphas is 0. The
 checker materialises the full expected sequences and compares them
 entry-by-entry against an actual run, so a perturbation of any single entry
-is caught. A family's nonzero catalog is the set of its expected betas
+is caught. The sequences are built nine indices at a time: in a block of
+nine only alpha_{9k+5}, alpha_{9k+6}, beta_{9k+1}, beta_{9k+2} and
+beta_{9k+6} are not constants of the row, and they read indices near 3k.
+A family's nonzero catalog is the set of its expected betas
 beta_3 .. beta_{9K+9}.
 
 Sign handling: replacing u by -u flips every alpha and fixes every beta
@@ -162,42 +165,28 @@ def expected_sequences(spec: LemmaSpec, n: int) -> tuple[list[int], list[int]]:
 
     Returned as 1-based lists (index 0 unused): the family's row applied at
     every index, cross-scale slots read from the same lists at index/3.
+    Indices 1..4 come first; then each step appends the nine indices
+    9k+5 .. 9k+13, in which only alpha_{9k+5}, alpha_{9k+6}, beta_{9k+6},
+    beta_{9k+10} and beta_{9k+11} are not constants of the row. They read
+    indices 3k+2 .. 3k+4, which the lists already hold. A negative n
+    raises ValueError.
     """
+    if n < 0:
+        raise ValueError(f"sequence length {n} is negative")
     p = spec.p
     src, u, beta2, b3, b4, b7, a2, a8, b6, m, c = _family(spec)
-    A = [0] * (n + 1)
-    B = [0] * (n + 1)
-    for i in range(1, n + 1):
-        r = i % 9
-        if r in (1, 4, 7):
-            A[i] = -u % p
-        elif r == 2:
-            A[i] = a2
-        elif r == 8:
-            A[i] = a8
-        elif r == 5:
-            A[i] = (m * A[i // 3 - 1 + src] + c) % p
-        else:  # 3k+3 class: sum rule alpha_{3k+2} + alpha_{3k+3} = u
-            A[i] = (u - A[i - 1]) % p
-
-    B[1] = 1 % p
-    if n >= 2:
-        B[2] = beta2
-    for i in range(3, n + 1):
-        r = i % 9
-        if r in (0, 3):
-            B[i] = b3
-        elif r == 6:
-            B[i] = b6 * B[i // 3 + 1] % p
-        elif r == 1:
-            B[i] = B[i // 3 + 1]
-        elif r == 4:
-            B[i] = b4
-        elif r == 7:
-            B[i] = b7
-        else:  # 3k+2 class: sum rule beta_{3k+4} + beta_{3k+5} = beta_2
-            B[i] = (beta2 - B[i - 1]) % p
-    return A, B
+    neg_u, a3, a9 = -u % p, (u - a2) % p, (u - a8) % p
+    b5, b8 = (beta2 - b4) % p, (beta2 - b7) % p
+    A = [0, neg_u, a2, a3, neg_u]
+    B = [0, 1 % p, beta2, b3, b4]
+    k = 0
+    while len(A) <= n:
+        a5 = (m * A[3 * k + src] + c) % p
+        b10 = B[3 * k + 4]
+        A += (a5, (u - a5) % p, neg_u, a8, a9, neg_u, a2, a3, neg_u)
+        B += (b5, b6 * B[3 * k + 3] % p, b7, b8, b3, b10, (beta2 - b10) % p, b3, b4)
+        k += 1
+    return A[: n + 1], B[: n + 1]
 
 
 def check_run_against(spec: LemmaSpec, alphas, betas, n: int) -> Optional[Violation]:

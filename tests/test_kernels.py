@@ -1,8 +1,10 @@
 """The int engine against independent code: the Fraction run reduced mod p
-for single runs, a plain loop with a ``pow`` per inversion for the memoised
-kernel, per-pair runs at every u for the scan (which runs half the rows and
-mirrors them across u -> -u), the parity in u that the mirror rests on, and
-a direct membership probe for the coverage count."""
+for single runs, a plain loop with a ``pow`` per inversion and no block
+memo for the memoised kernel (also survivors to far horizons, where nearly
+every block is a memo hit, and pairs that die late), per-pair runs at every
+u for the scan (which runs half the rows and mirrors them across u -> -u),
+the parity in u that the mirror rests on, and a direct membership probe for
+the coverage count."""
 
 import random
 import sys
@@ -12,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mahlercf import kernels, search
+from mahlercf import conditions, kernels, search
 from mahlercf.fields import primes_between
 from mahlercf.recurrence import run_over_q
 
@@ -83,6 +85,28 @@ class TestRunHistoryAgainstReference:
         for _ in range(40):
             u, v = rng.randrange(p), rng.randrange(p)
             assert kernels.run_history(u, v, p, 300) == reference_run_history(u, v, p, 300), (u, v)
+
+    @pytest.mark.parametrize("p", primes_between(3, 50))
+    def test_condition_pairs_far_horizon(self, p):
+        # survivors: after a few dozen distinct blocks every step is a memo hit
+        for u, v in conditions.satisfying_pairs(p):
+            got = kernels.run_history(u, v, p, 10_000)
+            assert got[2] == 0, (u, v)
+            assert got == reference_run_history(u, v, p, 10_000), (u, v)
+
+    @pytest.mark.parametrize("u,v,p,index", [
+        (16, 8, 41, 1076),
+        (0, 29, 37, 932),
+        (0, 8, 37, 932),
+        (18, 37, 47, 791),
+    ])
+    def test_late_deaths(self, u, v, p, index):
+        # dies after many memo hits, past the horizons and primes of test_every_pair
+        for n in (index - 3, index, 10_000):
+            got = kernels.run_history(u, v, p, n)
+            assert got == reference_run_history(u, v, p, n), n
+        assert got[2] == index
+        assert kernels.first_zero(u, v, p, index - 1) == 0
 
 
 class TestNoInverseLeaksBetweenRuns:

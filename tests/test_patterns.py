@@ -8,6 +8,7 @@ from mahlercf import recurrence
 from mahlercf.fields import primes_between
 from mahlercf.patterns import (
     LemmaSpec,
+    _family,
     check_run_against,
     expected_sequences,
     nonzero_beta_catalog,
@@ -27,7 +28,71 @@ def spec_for(lemma, p, blocks=4, **filters):
     return matches[0]
 
 
+def reference_expected_sequences(spec, n):
+    """expected_sequences as a plain loop over the indices 1..n, one residue
+    class of i mod 9 at a time (n >= 1)."""
+    p = spec.p
+    src, u, beta2, b3, b4, b7, a2, a8, b6, m, c = _family(spec)
+    A = [0] * (n + 1)
+    B = [0] * (n + 1)
+    for i in range(1, n + 1):
+        r = i % 9
+        if r in (1, 4, 7):
+            A[i] = -u % p
+        elif r == 2:
+            A[i] = a2
+        elif r == 8:
+            A[i] = a8
+        elif r == 5:
+            A[i] = (m * A[i // 3 - 1 + src] + c) % p
+        else:  # 3k+3 class: sum rule alpha_{3k+2} + alpha_{3k+3} = u
+            A[i] = (u - A[i - 1]) % p
+
+    B[1] = 1 % p
+    if n >= 2:
+        B[2] = beta2
+    for i in range(3, n + 1):
+        r = i % 9
+        if r in (0, 3):
+            B[i] = b3
+        elif r == 6:
+            B[i] = b6 * B[i // 3 + 1] % p
+        elif r == 1:
+            B[i] = B[i // 3 + 1]
+        elif r == 4:
+            B[i] = b4
+        elif r == 7:
+            B[i] = b7
+        else:  # 3k+2 class: sum rule beta_{3k+4} + beta_{3k+5} = beta_2
+            B[i] = (beta2 - B[i - 1]) % p
+    return A, B
+
+
 class TestExpectedSequences:
+    # n on both sides of block ends: 9K+9 for K = 8, 26 and 100
+    LENGTHS = [*range(1, 61), 81, 82, 243, 244, 909, 910]
+
+    @pytest.mark.parametrize("p", primes_between(3, 200))
+    def test_matches_reference_loop(self, p):
+        for spec in specs_for_prime(p, blocks=1):
+            for n in self.LENGTHS:
+                assert expected_sequences(spec, n) == reference_expected_sequences(spec, n), (spec, n)
+
+    def test_zero_length(self):
+        # depth 9K + 9 is 0 at K = -1: only the unused slot 0
+        spec = LemmaSpec(lemma=1, p=11, u=5, v=1, blocks=-1)
+        assert spec.depth == 0
+        assert expected_sequences(spec, spec.depth) == ([0], [0])
+        assert nonzero_beta_catalog(spec) == set()
+
+    def test_negative_length_is_refused(self):
+        # K = -2 gives depth -9: refused, not a vacuous pass over no indices
+        spec = LemmaSpec(lemma=1, p=11, u=5, v=1, blocks=-2)
+        with pytest.raises(ValueError, match="negative"):
+            expected_sequences(spec, spec.depth)
+        with pytest.raises(ValueError, match="negative"):
+            verify_lemma(spec)
+
     def test_family1_first_nine(self):
         # u^2 = 3, v = 1 at p = 11: u = 5
         spec = spec_for(1, 11, u=5)
