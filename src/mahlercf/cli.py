@@ -1,5 +1,6 @@
-"""Command-line front end. Every command prints a single JSON document
-(or CSV for scan survivor dumps) and follows one exit-code contract:
+"""Command-line front end. Every command returns one JSON document (or CSV
+text for scan survivor dumps) with its exit code, and ``main`` writes the
+document to stdout or to --out. The exit codes follow one contract:
 
     0   success / agreement / covered
     1   valid negative answer (e.g. pair not covered)
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -56,6 +58,14 @@ MAX_PRIMES_MAX = 10**6
 # Largest coverage grid, in cells: `density -B` marks a (2B+1)^2 byte grid
 # (~40 GB at B = 10**5), so this admits B <= 4999 at ~100 MB.
 MAX_DENSITY_CELLS = 10**8
+
+# Largest `scan --p-max`: every prime keeps its p x p grid and its survivor
+# set until the document is written. The worst case is -N 1, where nearly
+# every pair survives and is listed twice per prime and once in the summary
+# of the JSON document: primes up to 170 peak at ~376 MB and up to 200 at
+# ~647 MB (peak RSS of a fresh process; CSV ~144 MB at 200), so 500 would
+# need ~7.7 GB by extrapolation over the cells.
+MAX_SCAN_PRIME = 170
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,7 +137,12 @@ def _residue(name: str, x: Fraction, p: int) -> int:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_recurrence(args) -> int:
+def _status(run):
+    """"ok", or the index and cause of the run's failure."""
+    return "ok" if run.ok else {"failed_at": run.failure.index, "cause": run.failure.cause}
+
+
+def cmd_recurrence(args):
     n = args.n
     _require_at_most("-n", n, MAX_HORIZON)
     if args.p is None:
@@ -140,23 +155,19 @@ def cmd_recurrence(args) -> int:
         run = recurrence.run_mod_p(u, v, args.p, n)
         field = f"F_{args.p}"
         alphas, betas = list(run.alphas[:n]), list(run.betas[:n])
-    doc = {"u": u, "v": v, "field": field, "n": n, "alphas": alphas, "betas": betas}
-    if run.ok:
-        doc["status"] = "ok"
-    else:
-        doc["status"] = {"failed_at": run.failure.index, "cause": run.failure.cause}
-    _emit(doc, args)
-    return EXIT_OK if run.ok else EXIT_MATH_FAILURE
+    doc = {"u": u, "v": v, "field": field, "n": n, "alphas": alphas, "betas": betas,
+           "status": _status(run)}
+    return doc, EXIT_OK if run.ok else EXIT_MATH_FAILURE
 
 
-def _extract_with_retry(u, v, terms: int, depth_cap: int):
-    """expand + extract, doubling depth on InsufficientDepth up to the cap.
+def _extract_with_retry(u, v, terms: int, depth: int, depth_cap: int):
+    """expand + extract from the given depth, doubling it on
+    InsufficientDepth up to the cap.
 
     Returns (cf, depth). Raises InsufficientDepth once the cap is hit, or at
     once when the quotients certified before a zero remainder are all of g
     (a rational g): every deeper depth then raises the same refusal.
     """
-    depth = 2 * terms + 4
     while True:
         try:
             return laurent.cf_extract(laurent.expand_g(u, v, depth), terms), depth
@@ -168,108 +179,74 @@ def _extract_with_retry(u, v, terms: int, depth_cap: int):
             depth = min(2 * depth, depth_cap)
 
 
-def _depth_cap(args) -> int:
-    """--depth-cap, by default 64 times the first depth tried and at most
-    MAX_DEPTH; a first depth or a cap above MAX_DEPTH is a usage error."""
+def _depths(args) -> tuple[int, int]:
+    """The first expansion depth 2n + 4 and the cap: --depth-cap, by default
+    64 times the first depth and at most MAX_DEPTH; a first depth or a cap
+    above MAX_DEPTH is a usage error."""
     first = 2 * args.n + 4
     if first > MAX_DEPTH:
         raise SystemExit(
             f"-n {args.n} needs a first expansion depth of {first}, above the limit of {MAX_DEPTH}"
         )
     if args.depth_cap is None:
-        return min(64 * first, MAX_DEPTH)
+        return first, min(64 * first, MAX_DEPTH)
     _require_at_most("--depth-cap", args.depth_cap, MAX_DEPTH)
-    return args.depth_cap
+    return first, args.depth_cap
 
 
-def cmd_cf(args) -> int:
+def cmd_cf(args):
     n = args.n
-    depth_cap = _depth_cap(args)
+    first, depth_cap = _depths(args)
     run = recurrence.run_over_q(args.u, args.v, n)
+    failed = None if run.ok else f"RECURRENCE FAILED at {run.failure.index}"
     history = {
         "alphas": _scalar_list(run.alphas[:n]),
         "betas": _scalar_list(run.betas[:n]),
-        "status": "ok" if run.ok else {"failed_at": run.failure.index, "cause": run.failure.cause},
+        "status": _status(run),
     }
+    doc = {"u": str(args.u), "v": str(args.v), "n": n}
     try:
-        cf, depth = _extract_with_retry(args.u, args.v, n, depth_cap)
+        cf, depth = _extract_with_retry(args.u, args.v, n, first, depth_cap)
     except InsufficientDepth as exc:
-        doc = {
-            "u": str(args.u),
-            "v": str(args.v),
-            "n": n,
-            "recurrence": history,
-            "extraction": f"depth exhausted at cap {depth_cap}: {exc}",
-        }
-        if not run.ok:
+        doc.update(recurrence=history, extraction=f"depth exhausted at cap {depth_cap}: {exc}")
+        if failed:
             # a beta hit zero and no further quotient is certifiable at any
             # depth: the continued fraction may simply terminate (rational g)
-            doc["verdict"] = f"RECURRENCE FAILED at {run.failure.index}"
-            _emit(doc, args)
-            return EXIT_MATH_FAILURE
-        doc["verdict"] = "DEPTH_EXHAUSTED"
-        _emit(doc, args)
-        return EXIT_NO_PRECISION
-
-    doc = {
-        "u": str(args.u),
-        "v": str(args.v),
-        "n": n,
-        "expansion_depth": depth,
-        "recurrence": history,
-        "extracted": cf.to_json_dict(),
-    }
+            return {**doc, "verdict": failed}, EXIT_MATH_FAILURE
+        return {**doc, "verdict": "DEPTH_EXHAUSTED"}, EXIT_NO_PRECISION
+    doc.update(expansion_depth=depth, recurrence=history, extracted=cf.to_json_dict())
 
     nonlinear = cf.first_nonlinear()
     if nonlinear is not None:
-        doc["verdict"] = f"NONLINEAR at {nonlinear}"
-        _emit(doc, args)
-        return EXIT_MATH_FAILURE
-    if not run.ok and run.failure.index <= n:
-        doc["verdict"] = f"RECURRENCE FAILED at {run.failure.index}"
-        _emit(doc, args)
-        return EXIT_MATH_FAILURE
-
+        return {**doc, "verdict": f"NONLINEAR at {nonlinear}"}, EXIT_MATH_FAILURE
+    if failed and run.failure.index <= n:
+        return {**doc, "verdict": failed}, EXIT_MATH_FAILURE
     alphas = cf.linear_constants()
-    disagree = None
     for i in range(1, n + 1):
         if cf.beta(i) != run.beta(i) or alphas[i - 1] != run.alpha(i):
-            disagree = i
-            break
-    doc["verdict"] = "AGREE" if disagree is None else f"DISAGREE at {disagree}"
-    _emit(doc, args)
-    return EXIT_OK if disagree is None else EXIT_MATH_FAILURE
+            return {**doc, "verdict": f"DISAGREE at {i}"}, EXIT_MATH_FAILURE
+    return {**doc, "verdict": "AGREE"}, EXIT_OK
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     u, v = args.u, args.v
     _require_at_most("--primes-max", args.primes_max, MAX_PRIMES_MAX)
+    doc = {"u": u, "v": v}
     if args.p is not None:
         _require_prime(args.p)
         witnesses = conditions.check_pair(u, v, args.p)
-        doc = {
-            "u": u,
-            "v": v,
-            "p": args.p,
-            "witnesses": [w.to_json_dict() for w in witnesses],
-            "covered": bool(witnesses),
-        }
-        _emit(doc, args)
-        return EXIT_OK if witnesses else EXIT_NEGATIVE
-    w = conditions.covered_up_to(u, v, args.primes_max)
-    doc = {
-        "u": u,
-        "v": v,
-        "primes_max": args.primes_max,
-        "witness": w.to_json_dict() if w else None,
-        "covered": w is not None,
-    }
-    _emit(doc, args)
-    return EXIT_OK if w else EXIT_NEGATIVE
+        doc.update(p=args.p, witnesses=[dataclasses.asdict(w) for w in witnesses])
+    else:
+        w = conditions.covered_up_to(u, v, args.primes_max)
+        witnesses = [w] if w else []
+        doc.update(primes_max=args.primes_max, witness=dataclasses.asdict(w) if w else None)
+    doc["covered"] = bool(witnesses)
+    return doc, EXIT_OK if witnesses else EXIT_NEGATIVE
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args):
     _require_at_most("-N", args.horizon, MAX_HORIZON)
+    _require_at_most("--p-max", args.p_max, MAX_SCAN_PRIME)
     results = search.scan_range(args.p_min, args.p_max, args.horizon)
     if args.format == "csv":
         buf = io.StringIO()
@@ -277,8 +254,7 @@ def cmd_scan(args) -> int:
         writer.writerow(["p", "u", "v", "first_zero"])
         for res in results:
             writer.writerows(res.csv_rows())
-        _emit(buf.getvalue().rstrip("\n"), args)
-        return EXIT_OK
+        return buf.getvalue().rstrip("\n"), EXIT_OK
     doc = {
         "p_min": args.p_min,
         "p_max": args.p_max,
@@ -294,11 +270,10 @@ def cmd_scan(args) -> int:
             ),
         },
     }
-    _emit(doc, args)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
-def cmd_density(args) -> int:
+def cmd_density(args):
     if args.B < 0:
         raise SystemExit(f"-B {args.B} must be >= 0")
     cells = (2 * args.B + 1) ** 2
@@ -307,22 +282,19 @@ def cmd_density(args) -> int:
             f"-B {args.B} needs a grid of {cells} cells, above the limit of {MAX_DENSITY_CELLS}"
         )
     _require_at_most("--primes-max", args.primes_max, MAX_PRIMES_MAX)
-    _emit(search.density(args.B, args.primes_max).to_json_dict(), args)
-    return EXIT_OK
+    return search.density(args.B, args.primes_max).to_json_dict(), EXIT_OK
 
 
-def cmd_verify_lemma(args) -> int:
+def cmd_verify_lemma(args):
     _require_at_most("-K", args.blocks, MAX_BLOCKS)
     _require_prime(args.p)
-    specs = patterns.specs_for_prime(args.p, args.blocks)
-    specs = [s for s in specs if s.lemma == args.lemma]
-    if args.phi is not None:
-        specs = [s for s in specs if s.phi == args.phi % args.p]
-    if args.delta is not None:
-        specs = [s for s in specs if s.delta == args.delta % args.p]
-    if args.sign is not None:
-        specs = [s for s in specs if s.sign == args.sign]
-    reports = [patterns.verify_lemma(s) for s in specs]
+    reports = [
+        patterns.verify_lemma(s) for s in patterns.specs_for_prime(args.p, args.blocks)
+        if s.lemma == args.lemma
+        and (args.phi is None or s.phi == args.phi % args.p)
+        and (args.delta is None or s.delta == args.delta % args.p)
+        and (args.sign is None or s.sign == args.sign)
+    ]
     doc = {
         "lemma": args.lemma,
         "p": args.p,
@@ -330,20 +302,19 @@ def cmd_verify_lemma(args) -> int:
         "instances": [r.to_json_dict() for r in reports],
         "pass": bool(reports) and all(r.passed for r in reports),
     }
-    _emit(doc, args)
     if not reports:
-        return EXIT_NEGATIVE
-    return EXIT_OK if doc["pass"] else EXIT_MATH_FAILURE
+        return doc, EXIT_NEGATIVE
+    return doc, EXIT_OK if doc["pass"] else EXIT_MATH_FAILURE
 
 
-def cmd_mu(args) -> int:
+def cmd_mu(args):
     n = args.n
-    depth_cap = _depth_cap(args)
+    first, depth_cap = _depths(args)
     try:
-        cf, depth = _extract_with_retry(args.u, args.v, n, depth_cap)
+        cf, depth = _extract_with_retry(args.u, args.v, n, first, depth_cap)
     except InsufficientDepth as exc:
-        _emit({"verdict": "DEPTH_EXHAUSTED", "detail": str(exc), "depth_cap": depth_cap}, args)
-        return EXIT_NO_PRECISION
+        doc = {"verdict": "DEPTH_EXHAUSTED", "detail": str(exc), "depth_cap": depth_cap}
+        return doc, EXIT_NO_PRECISION
     degrees = laurent.convergent_denominator_degrees(cf)
     lo = args.window_start
     hi = len(degrees) - 1 if args.window_end is None else min(args.window_end, len(degrees) - 1)
@@ -363,8 +334,7 @@ def cmd_mu(args) -> int:
         "estimate_float": float(estimate),
         "label": f"irrationality-exponent estimate at depth {n} (not a limit)",
     }
-    _emit(doc, args)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +387,8 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("scan", help="survivor scan over F_p^2 for a prime range")
     sp.add_argument("--p-min", dest="p_min", type=_positive, required=True)
-    sp.add_argument("--p-max", dest="p_max", type=_positive, required=True)
+    sp.add_argument("--p-max", dest="p_max", type=_positive, required=True,
+                    help=f"largest prime to scan (at most {MAX_SCAN_PRIME})")
     sp.add_argument("-N", dest="horizon", type=_positive, default=search.DEFAULT_HORIZON,
                     help=f"survivor horizon (default {search.DEFAULT_HORIZON}, at most {MAX_HORIZON})")
     sp.add_argument("--jobs", type=_positive, help=ignored_jobs)
@@ -464,13 +435,13 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    # argparse exits with its own code; a command's refusal and a failed
+    # --out write exit with a message, a usage error
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.fn(args)
+        args = _build_parser().parse_args(argv)
+        doc, code = args.fn(args)
+        _emit(doc, args)
+        return code
     except SystemExit as exc:
         if isinstance(exc.code, int):
             return exc.code

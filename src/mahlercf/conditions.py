@@ -45,17 +45,6 @@ class ConditionWitness:
     def pair(self) -> tuple[int, int]:
         return (self.u, self.v)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "p": self.p,
-            "u": self.u,
-            "v": self.v,
-            "phi": self.phi,
-            "delta": self.delta,
-            "sign": self.sign,
-        }
-
 
 def iter_witnesses(p: int) -> Iterator[ConditionWitness]:
     """Every (case, parameter, sign) combination satisfied at p.

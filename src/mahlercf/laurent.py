@@ -176,15 +176,6 @@ class LaurentSeries:
         out = [self.coeff(d) for d in range(top, self.floor - 1, -1)]
         return LaurentSeries(top, out, self.floor)
 
-    def __eq__(self, other):
-        if isinstance(other, LaurentSeries):
-            return (
-                self.top_degree == other.top_degree
-                and self.floor == other.floor
-                and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-            )
-        return NotImplemented
-
     def __repr__(self):
         return f"LaurentSeries(top={self.top_degree}, floor={self.floor})"
 

@@ -25,6 +25,7 @@ from mahlercf.cli import (
     MAX_DEPTH,
     MAX_HORIZON,
     MAX_PRIMES_MAX,
+    MAX_SCAN_PRIME,
     main,
 )
 from mahlercf.fields import PRIMALITY_LIMIT
@@ -59,6 +60,94 @@ def refused_before_any_run(monkeypatch, capsys, argv, *run_functions,
     assert expect in captured.err
     assert peak < 1_000_000
     return captured.err
+
+
+# sha256 of "" : the stream a command leaves empty
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+# (command line, exit code, sha256 of stdout, sha256 of stderr): every
+# command and every exit code, refusals and parse errors included. A change
+# that is not meant to change what the CLI prints must not change these.
+PINNED_OUTPUT = {
+    "recurrence-mod-p": ("recurrence -u 5 -v 1 -p 11 -n 9", EXIT_OK,
+        "f206a0d7a5d30512eed109e0837439b314d400e95e919323d99e6da0de6fd79a", EMPTY),
+    "recurrence-q": ("recurrence -u=2 -v=3 -n 6", EXIT_OK,
+        "33d3b37fd68bc4da71c6b862204b980cf2d8301b8ce5a4035614caa55e860923", EMPTY),
+    "recurrence-failure": ("recurrence -u 1 -v 1 -n 10", EXIT_MATH_FAILURE,
+        "1a87d84a63802dd7b7bb801c6a259b5c3345ead5d2066080591a4716d1471a6b", EMPTY),
+    "recurrence-no-residue": ("recurrence -u=1/7 -v=1 -p 7 -n 5", EXIT_USAGE,
+        EMPTY, "f5c3016243b6945225a264d7a59059fbbd88881f2059a5ddeb46f28432dfcc05"),
+    "recurrence-bad-u": ("recurrence -u=abc -v=1 -n 3", EXIT_USAGE,
+        EMPTY, "f58c8ad4656f07a5a490bfc3e78f012af29655fbc19b612619ff5a6f0062e64b"),
+    "recurrence-n-0": ("recurrence -u=1 -v=1 -n 0", EXIT_USAGE,
+        EMPTY, "baa079a70c031bf66ef977860b1836bacdc2d4901e084b5ba3b5278c41c80b2d"),
+    "cf-agree": ("cf -u 2 -v 3 -n 20", EXIT_OK,
+        "24803205ca1e5c9fa0fc4a5156bd13994cf56b2eb17399eef2b8351faf2868e4", EMPTY),
+    "cf-nonlinear": ("cf -u 2 -v 4 -n 3", EXIT_MATH_FAILURE,
+        "fcfe918675d0f90382f15787c680df8624add059046b50377cb7714ed0336c99", EMPTY),
+    "cf-rational-g": ("cf -u 1 -v 1 -n 5 --depth-cap 64", EXIT_MATH_FAILURE,
+        "c67e626cb3b2274a035fccc07db4254295f08aadc17c3762c34c214fecb20222", EMPTY),
+    "cf-cap": ("cf -u=1 -v=-2 -n 12 --depth-cap 56", EXIT_MATH_FAILURE,
+        "763aa332f92ed9005e3c9db24e0a9481ae7d188daccbca363c47322128608b1b", EMPTY),
+    "check-covered": ("check -u 5 -v 1", EXIT_OK,
+        "1238c2680f7c89e65d83c58a5d28405a6ec25cb1c830e2cb29596b90c95d4a60", EMPTY),
+    "check-uncovered": ("check -u 2 -v=-2 --primes-max 100", EXIT_NEGATIVE,
+        "9923964f4503f2ae8f660cc335ca141a463935f95df618ee8e9b835161771dba", EMPTY),
+    "check-p": ("check -u 2 -v 0 -p 7", EXIT_OK,
+        "e3f845d01291520d723b249289dbb7112df9070bd38a3c2126e873ec88efe290", EMPTY),
+    "check-p-none": ("check -u 2 -v 0 -p 5", EXIT_NEGATIVE,
+        "f0b3e20a65126429eb921bfeccd7155a6d61769812b6ffc197bf97ea430073e9", EMPTY),
+    "scan-json": ("scan --p-min 3 --p-max 13 -N 2000 --format json", EXIT_OK,
+        "7d5f1b08a088528afbfcd66ec0cd42c7ce92e859919bba6da470409aaf6c9cae", EMPTY),
+    "scan-csv": ("scan --p-min 3 --p-max 13 -N 2000 --format csv", EXIT_OK,
+        "f011697215ae6971f75834421f3f3628e917f1d0d728d525c373eea5924d89f8", EMPTY),
+    "scan-horizon": ("scan --p-min 3 --p-max 50 -N 1000001", EXIT_USAGE,
+        EMPTY, "2f0a0e29b85c87c5c320c6727b133062e4a9be9efc44fff00b6e01ad8d33165e"),
+    "density": ("density -B 12 --primes-max 20", EXIT_OK,
+        "4cea8a92d0f1bf6c912c472d367d80818527a009f73ec0e2650d59493ff15827", EMPTY),
+    "density-negative": ("density -B -1", EXIT_USAGE,
+        EMPTY, "876beed7200977210ebbaecf2518cc99c5a07fac406b0d346ca1c802e8adc256"),
+    "verify-lemma": ("verify-lemma --lemma 7 -p 7 --delta 2 -K 5", EXIT_OK,
+        "31927e63f8487fd49d87e319b175ba0384548832f5fb8e4146945b2889036237", EMPTY),
+    "verify-lemma-none": ("verify-lemma --lemma 1 -p 5 -K 2", EXIT_NEGATIVE,
+        "f2bfcf1ba4610299924362a0f7d6ccbb6623fb62d1722a64fa0d66e487aa3a5b", EMPTY),
+    "mu": ("mu -u 5 -v 1 -n 30 --window-start 10 --window-end 30", EXIT_OK,
+        "d93478599debf76e243760a98296fafccb5e168daf7d2361e0d067c71f459696", EMPTY),
+    "mu-rational-g": ("mu -u=1 -v=1 -n 10", EXIT_NO_PRECISION,
+        "a9fe602e37b907704e810be51837bc0bc01e5baf938f9d51c7323dadf1263c1f", EMPTY),
+    "mu-window": ("mu -u 5 -v 1 -n 11 --window-start 5 --window-end 5", EXIT_USAGE,
+        EMPTY, "6f06817141e904bb74162bd9458cd1f589c58a9751d7f0764d2dec350f432a81"),
+    "no-command": ("nonsense", EXIT_USAGE,
+        EMPTY, "b908d8a8c2eab4ef56298f525c637702501be20fd1f2f2a4f06b3fe74ffcab38"),
+}
+
+
+def run_pinned(monkeypatch, capsys, command_line, *extra):
+    # argparse wraps its usage line to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main([*command_line.split(), *extra])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", PINNED_OUTPUT)
+def test_pinned_output_bytes(monkeypatch, capsys, case):
+    command_line, code, out_digest, err_digest = PINNED_OUTPUT[case]
+    got_code, out, err = run_pinned(monkeypatch, capsys, command_line)
+    assert (got_code, sha256(out), sha256(err)) == (code, out_digest, err_digest)
+
+
+@pytest.mark.parametrize("case", ["cf-agree", "scan-csv"])
+def test_out_file_holds_the_stdout_bytes(monkeypatch, capsys, tmp_path, case):
+    command_line, code, out_digest, _ = PINNED_OUTPUT[case]
+    path = tmp_path / "doc"
+    got_code, out, err = run_pinned(monkeypatch, capsys, command_line, "--out", str(path))
+    assert (got_code, out, err) == (code, "", "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == out_digest
 
 
 class TestRecurrence:
@@ -102,6 +191,16 @@ class TestRecurrence:
         _, direct = run_json(capsys, "recurrence", "-u=4", "-v=5", "-p", "7", "-n", "6")
         assert (doc["u"], doc["v"]) == (4, 5)
         assert doc == direct and code == (EXIT_OK if doc["status"] == "ok" else EXIT_MATH_FAILURE)
+
+    @pytest.mark.parametrize("argv, expect", [
+        (["-u=abc", "-v=1", "-n", "3"], "argument -u: not an exact rational: 'abc'"),
+        (["-u=1", "-v=1", "-n", "0"], "argument -n: must be >= 1"),
+    ], ids=["u", "n"])
+    def test_bad_argument_is_usage_error(self, monkeypatch, capsys, argv, expect):
+        refused_before_any_run(
+            monkeypatch, capsys, ["recurrence", *argv],
+            (recurrence, "run_over_q"), (recurrence, "run_mod_p"), expect=expect,
+        )
 
     def test_composite_p_is_usage_error(self, capsys):
         code = main(["recurrence", "-u=1", "-v=2", "-p", "9", "-n", "5"])
@@ -251,6 +350,42 @@ class TestCf:
         assert code == EXIT_MATH_FAILURE
         assert doc["verdict"] == "NONLINEAR at 2"
 
+    def test_depth_exhausted_exits_3(self, monkeypatch, capsys):
+        # (2, 3) runs clean; an extraction refused at every depth, with no
+        # certified quotients, is a lack of precision, not a failure
+        def refuse(g, terms):
+            raise laurent.InsufficientDepth("stub")
+
+        monkeypatch.setattr(laurent, "cf_extract", refuse)
+        code, doc = run_json(capsys, "cf", "-u=2", "-v=3", "-n", "5", "--depth-cap", "28")
+        assert code == EXIT_NO_PRECISION
+        assert list(doc) == ["u", "v", "n", "recurrence", "extraction", "verdict"]
+        assert doc["recurrence"]["status"] == "ok"
+        assert doc["extraction"] == "depth exhausted at cap 28: stub"
+        assert doc["verdict"] == "DEPTH_EXHAUSTED"
+
+    def test_recurrence_failure_after_linear_extraction_exits_2(self, monkeypatch, capsys):
+        # every quotient of (2, 3) is linear; a run that dies at index 2 <= n
+        # (that of (1, 1)) is reported against it
+        run_over_q = recurrence.run_over_q
+        monkeypatch.setattr(recurrence, "run_over_q", lambda u, v, n: run_over_q(1, 1, n))
+        code, doc = run_json(capsys, "cf", "-u=2", "-v=3", "-n", "5")
+        assert code == EXIT_MATH_FAILURE
+        assert list(doc) == ["u", "v", "n", "expansion_depth", "recurrence", "extracted", "verdict"]
+        assert doc["recurrence"]["status"] == {"failed_at": 2, "cause": "beta_zero"}
+        assert doc["verdict"] == "RECURRENCE FAILED at 2"
+
+    def test_disagreement_exits_2(self, monkeypatch, capsys):
+        # the run of (2, 5) against the extraction of (2, 3): alpha_1 = -2
+        # and beta_1 = 1 agree, beta_2 = u^2 - v does not
+        run_over_q = recurrence.run_over_q
+        monkeypatch.setattr(recurrence, "run_over_q", lambda u, v, n: run_over_q(2, 5, n))
+        code, doc = run_json(capsys, "cf", "-u=2", "-v=3", "-n", "5")
+        assert code == EXIT_MATH_FAILURE
+        assert list(doc) == ["u", "v", "n", "expansion_depth", "recurrence", "extracted", "verdict"]
+        assert doc["recurrence"]["status"] == "ok"
+        assert doc["verdict"] == "DISAGREE at 2"
+
     def test_deep_run_certifies_at_default_depth(self, capsys):
         code, doc = run_json(capsys, "cf", "-u=2", "-v=3", "-n", "101")
         assert code == EXIT_OK
@@ -282,19 +417,6 @@ class TestCheck:
 
 
 class TestScan:
-    # sha256 of the stdout of `scan --p-min 3 --p-max 13 -N 2000`: a change
-    # to the scan engine must not change these bytes
-    @pytest.mark.parametrize("fmt, digest", [
-        ("json", "7d5f1b08a088528afbfcd66ec0cd42c7ce92e859919bba6da470409aaf6c9cae"),
-        ("csv", "f011697215ae6971f75834421f3f3628e917f1d0d728d525c373eea5924d89f8"),
-    ])
-    def test_pinned_output_bytes(self, capsys, fmt, digest):
-        code, out = run_cli(
-            capsys, "scan", "--p-min", "3", "--p-max", "13", "-N", "2000", "--format", fmt
-        )
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
     def test_horizon_above_limit_is_usage_error(self, monkeypatch, capsys):
         err = refused_before_any_run(
             monkeypatch, capsys,
@@ -302,6 +424,23 @@ class TestScan:
             (search, "scan_range"),
         )
         assert f"-N {MAX_HORIZON + 1}" in err
+
+    @pytest.mark.parametrize("p_max", [MAX_SCAN_PRIME + 1, 10**10])
+    def test_p_max_above_limit_is_usage_error(self, monkeypatch, capsys, p_max):
+        # refused before the sieve: primes_between(3, 10**10) would take ~10 GB
+        err = refused_before_any_run(
+            monkeypatch, capsys, ["scan", "--p-min", "3", "--p-max", str(p_max)],
+            (search, "scan_range"), (search, "primes_between"),
+            expect=f"--p-max {p_max} is above the limit of {MAX_SCAN_PRIME}",
+        )
+        assert err.count("\n") == 1
+
+    def test_largest_p_max_is_accepted(self, monkeypatch, capsys):
+        # the scan itself is stubbed: it would run every pair of every prime
+        # up to the limit to the default horizon
+        monkeypatch.setattr(search, "scan_range", lambda lo, hi, n: [])
+        code, doc = run_json(capsys, "scan", "--p-min", "3", "--p-max", str(MAX_SCAN_PRIME))
+        assert (code, doc["p_max"]) == (EXIT_OK, MAX_SCAN_PRIME)
 
     def test_json_summary_clean(self, capsys):
         code, doc = run_json(
@@ -453,6 +592,15 @@ class TestMu:
             monkeypatch, capsys, ["mu", "-u", "5", "-v", "1", "-n", "11", *window],
             (laurent, "expand_g"), expect="must be >= 0",
         )
+
+    def test_window_of_one_degree_is_usage_error(self, capsys):
+        # the estimate needs a ratio of two consecutive degrees
+        code = main(["mu", "-u", "5", "-v", "1", "-n", "11",
+                     "--window-start", "5", "--window-end", "5"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == "mahlercf: window [5, 5] too small: need at least two degrees\n"
 
 
 class TestPlumbing:
