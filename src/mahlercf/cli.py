@@ -1,6 +1,7 @@
 """Command-line front end. Every command returns one JSON document (or CSV
-text for scan survivor dumps) with its exit code, and ``main`` writes the
-document to stdout or to --out. The exit codes follow one contract:
+rows for scan survivor dumps) with its exit code, and ``main`` writes the
+document to stdout or to --out as it is encoded. The exit codes follow one
+contract:
 
     0   success / agreement / covered
     1   valid negative answer (e.g. pair not covered)
@@ -18,7 +19,7 @@ import argparse
 import csv
 import dataclasses
 import functools
-import io
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -34,11 +35,11 @@ EXIT_NO_PRECISION = 3
 EXIT_USAGE = 64
 
 # Largest recurrence length and scan horizon: a run keeps its O(n) history,
-# and `recurrence -n 10**6` on a survivor peaks at ~206 MB at p = 11, ~311 MB
-# at p = 10**9 + 7 and ~405 MB at the largest admitted p, the largest prime
-# below PRIMALITY_LIMIT (82 bits), where residues rarely repeat: the run's
-# inverse memo keeps ~2 entries per block and its block memo stops at
-# kernels._MAX_STEPS states (peak RSS of a fresh process).
+# and `recurrence -n 10**6` on a survivor peaks at ~55 MB at p = 11, ~106 MB
+# at p = 10**9 + 7 and ~132 MB at the largest admitted p, the largest prime
+# below PRIMALITY_LIMIT (82 bits), where residues rarely repeat and the
+# run's block memo stops at kernels._MAX_STEPS states (peak RSS of a fresh
+# process, the document written as it is encoded).
 MAX_HORIZON = 10**6
 
 # Largest `verify-lemma -K`: a run keeps its history to index 9K+9.
@@ -62,9 +63,9 @@ MAX_DENSITY_CELLS = 10**8
 # Largest `scan --p-max`: every prime keeps its p x p grid and its survivor
 # set until the document is written. The worst case is -N 1, where nearly
 # every pair survives and is listed twice per prime and once in the summary
-# of the JSON document: primes up to 170 peak at ~376 MB and up to 200 at
-# ~647 MB (peak RSS of a fresh process; CSV ~144 MB at 200), so 500 would
-# need ~7.7 GB by extrapolation over the cells.
+# of the JSON document: primes up to 170 peak at ~97 MB and up to 200 at
+# ~151 MB (peak RSS of a fresh process; CSV ~100 MB at 200), so 500 would
+# need ~1.6 GB by extrapolation over the cells, ~220 bytes each.
 MAX_SCAN_PRIME = 170
 
 
@@ -95,16 +96,25 @@ def _nonnegative(text: str) -> int:
     return n
 
 
-def _emit(doc, args) -> None:
-    text = doc if isinstance(doc, str) else json.dumps(doc, indent=2)
-    if getattr(args, "out", None):
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise SystemExit(f"cannot write --out {args.out}: {exc.strerror}")
+def _write(doc, fh) -> None:
+    # encoded into fh a piece of 4096 chunks at a time: no copy of the whole
+    # text is held, and an unbuffered stdout is not written once per number
+    if isinstance(doc, dict):
+        chunks = itertools.chain(json.JSONEncoder(indent=2).iterencode(doc), "\n")
+        while piece := "".join(itertools.islice(chunks, 4096)):
+            fh.write(piece)
     else:
-        print(text)
+        csv.writer(fh).writerows(doc)
+
+
+def _emit(doc, args) -> None:
+    if not getattr(args, "out", None):
+        return _write(doc, sys.stdout)
+    try:
+        with open(args.out, "w") as fh:
+            _write(doc, fh)
+    except OSError as exc:
+        raise SystemExit(f"cannot write --out {args.out}: {exc.strerror}")
 
 
 def _scalar_list(values):
@@ -182,7 +192,7 @@ def _extract_with_retry(u, v, terms: int, depth: int, depth_cap: int):
 def _depths(args) -> tuple[int, int]:
     """The first expansion depth 2n + 4 and the cap: --depth-cap, by default
     64 times the first depth and at most MAX_DEPTH; a first depth or a cap
-    above MAX_DEPTH is a usage error."""
+    above MAX_DEPTH, or a cap below the first depth, is a usage error."""
     first = 2 * args.n + 4
     if first > MAX_DEPTH:
         raise SystemExit(
@@ -191,6 +201,8 @@ def _depths(args) -> tuple[int, int]:
     if args.depth_cap is None:
         return first, min(64 * first, MAX_DEPTH)
     _require_at_most("--depth-cap", args.depth_cap, MAX_DEPTH)
+    if args.depth_cap < first:
+        raise SystemExit(f"--depth-cap {args.depth_cap} is below the first expansion depth {first}")
     return first, args.depth_cap
 
 
@@ -249,12 +261,8 @@ def cmd_scan(args):
     _require_at_most("--p-max", args.p_max, MAX_SCAN_PRIME)
     results = search.scan_range(args.p_min, args.p_max, args.horizon)
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["p", "u", "v", "first_zero"])
-        for res in results:
-            writer.writerows(res.csv_rows())
-        return buf.getvalue().rstrip("\n"), EXIT_OK
+        header = [("p", "u", "v", "first_zero")]
+        return itertools.chain(header, *(r.csv_rows() for r in results)), EXIT_OK
     doc = {
         "p_min": args.p_min,
         "p_max": args.p_max,
@@ -370,7 +378,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("-n", type=_positive, required=True,
                     help=f"continued-fraction terms to compare (2n+4 at most {MAX_DEPTH})")
     sp.add_argument("--depth-cap", dest="depth_cap", type=_positive,
-                    help="maximum expansion depth before giving up (exit 3; "
+                    help="maximum expansion depth before giving up (exit 3; at least 2n+4, "
                     f"default 64(2n+4), at most {MAX_DEPTH})")
     common(sp)
     sp.set_defaults(fn=cmd_cf)
@@ -427,7 +435,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--window-end", dest="window_end", type=_nonnegative,
                     help="last convergent index k (default: all)")
     sp.add_argument("--depth-cap", dest="depth_cap", type=_positive,
-                    help=f"as for cf (default 64(2n+4), at most {MAX_DEPTH})")
+                    help=f"as for cf (at least 2n+4, default 64(2n+4), at most {MAX_DEPTH})")
     common(sp)
     sp.set_defaults(fn=cmd_mu)
 

@@ -4,18 +4,14 @@ survivor scans, and the integer-grid coverage count.
 One engine: every run, over Q or mod p, single or in a scan, is the scalar
 loop ``run_history``. Mod p it works on Python ints, which cannot overflow;
 over Q it is the same loop on Fractions, with the modulus ``Q``, for which
-reducing is the identity and an inverse is 1/x. Two memos live for one
-call. The block memo maps the five values a block step reads to the
-alphas and betas it writes, so a block state met again is one dict
-lookup. A survivor mod p meets few block states, the finite 3-kernel of
-an automatic sequence (Allouche & Shallit, *Automatic Sequences*,
+reducing is the identity and an inverse is 1/x. Its one memo, a block
+memo for one call, makes a block state met again one dict lookup. A
+survivor mod p meets few block states, the finite 3-kernel of an
+automatic sequence (Allouche & Shallit, *Automatic Sequences*,
 Thm 6.6.2): over the 222 condition pairs with p <= 100, at most 32
 (median 9) to 10^4 indices and at most 48 to 10^6. So nearly every block
-of a long survivor run is a lookup. The inverse memo serves the misses:
-one inversion per distinct divisor, at most two entries per block. Where
-states rarely repeat, at a large p or in a scan past p ~ 40 where most
-pairs die within a few hundred indices, the memos save little and each
-block pays for a lookup that misses.
+of a long survivor run is a lookup, and a miss inverts once (Montgomery's
+simultaneous inversion).
 The coverage count marks each condition pair's lattice in a boolean grid
 with strided slices. numpy is imported only inside the two kernels whose
 product is an array, ``scan_grid`` and ``density_count``; importing this
@@ -43,8 +39,8 @@ if TYPE_CHECKING:
 
 
 class _Rationals:
-    """The modulus of a run over Q: ``x % Q`` is x itself, and the inverse
-    memo of a run over Q divides, so ``run_history`` needs no second loop."""
+    """The modulus of a run over Q: ``x % Q`` is x itself, and a run over Q
+    inverts by 1/x, so ``run_history`` needs no second loop."""
 
     __slots__ = ()
 
@@ -64,22 +60,8 @@ def get_backend() -> str:
 # looking up but stores no more. Survivors need a few dozen, so a run that
 # fills it is one whose states do not repeat, such as any run at a large p,
 # and the bound keeps its memo from adding to the peak of a 10^6-index run
-# (405 -> 472 MB unbounded at the largest admitted prime, fresh process).
+# (131 -> 223 MB unbounded at the largest admitted prime, fresh process).
 _MAX_STEPS = 1024
-
-
-class _Inverses(dict):
-    """Inverses mod p (1/x over Q) by value, each computed on first lookup."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p):
-        super().__init__()
-        self.p = p
-
-    def __missing__(self, x):
-        y = self[x] = 1 / x if self.p is Q else pow(x, -1, self.p)
-        return y
 
 
 def run_history(u, v, p, n: int):
@@ -100,20 +82,23 @@ def run_history(u, v, p, n: int):
     meets a few dozen states at most and repeats them for the rest of the
     run. A zero beta_{3k+5} returns before anything is stored, and a stored
     step with a zero beta_{3k+6} ends the run, so it is never met again.
-    The memo stops growing at ``_MAX_STEPS`` states. Its misses invert
-    through a second memo, one ``pow`` per distinct divisor (one division
-    over Q). Where states rarely repeat, as at a large p, each block pays
-    for a lookup that misses: a 10^6-index run at p = 10^9 + 7 takes ~13%
-    longer than without the block memo.
+    The memo stops growing at ``_MAX_STEPS`` states. A miss inverts once:
+    with d = beta_{3k+3} beta_{3k+2} and e = (u^2 - v) d - beta_{k+2}, so
+    that beta_{3k+4} = beta_{k+2}/d and beta_{3k+5} = e/d, the inverse t of
+    d e gives beta_{3k+4} = beta_{k+2} e t and 1/beta_{3k+5} = d^2 t; only
+    a zero e inverts d alone. Where states rarely repeat, at a large p or in
+    a scan past p ~ 40 where most pairs die within a few hundred indices,
+    each block pays for a lookup that misses: a 10^6-index run at
+    p = 10^9 + 7 takes ~9% longer than without the block memo.
     """
+    inv = (lambda x: 1 / x) if p is Q else (lambda x: pow(x, -1, p))
     u %= p
     v %= p
     alphas = [0, -u % p]
     betas = [0, 1, (u * u - v) % p]
     if betas[2] == 0:
         return alphas, betas, 2
-    inv = _Inverses(p)
-    dinv = inv[-betas[2] % p]
+    dinv = inv(-betas[2] % p)
     alphas += (u * (2 * v - 1 - u * u) * dinv % p, -u * (v - 1) * dinv % p)
     betas.append((u * u + u ** 4 + v ** 3 - 3 * u * u * v) * dinv * dinv % p)
     if betas[3] == 0:
@@ -129,13 +114,17 @@ def run_history(u, v, p, n: int):
         key = (alphas[k + 2], betas[k + 2], a2, b2, b3)
         step = steps.get(key)
         if step is None:
-            b4 = key[1] * inv[b3 * b2 % p] % p
-            b5 = (c - b4) % p
-            if b5 == 0:
+            d = b3 * b2 % p
+            e = (c * d - key[1]) % p
+            if e == 0:  # beta_{3k+5}
                 alphas.append(neg_u)
-                betas += (b4, b5)
+                betas += (key[1] * inv(d) % p, e)
                 return alphas, betas, i + 2
-            a5 = (u - (key[0] + uv - a2 * b4) * inv[b5]) % p
+            t = inv(d * e % p)
+            # e t = 1/d and d t = 1/e first: over Q they are the small products
+            b4 = key[1] * (e * t) % p
+            b5 = (c - b4) % p
+            a5 = (u - (key[0] + uv - a2 * b4) * (d * (d * t))) % p
             a6 = (u - a5) % p
             b6 = (v - a5 * a6) % p
             step = (neg_u, a5, a6), (b4, b5, b6), a5, b5, b6

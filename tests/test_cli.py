@@ -89,6 +89,8 @@ PINNED_OUTPUT = {
         "c67e626cb3b2274a035fccc07db4254295f08aadc17c3762c34c214fecb20222", EMPTY),
     "cf-cap": ("cf -u=1 -v=-2 -n 12 --depth-cap 56", EXIT_MATH_FAILURE,
         "763aa332f92ed9005e3c9db24e0a9481ae7d188daccbca363c47322128608b1b", EMPTY),
+    "cf-cap-below-first": ("cf -u 2 -v 3 -n 20 --depth-cap 10", EXIT_USAGE,
+        EMPTY, "4d2fb91d4b9dd7c69c7bfa2b08d2547a65b5ffb87c70007fc8ade0a83193f920"),
     "check-covered": ("check -u 5 -v 1", EXIT_OK,
         "1238c2680f7c89e65d83c58a5d28405a6ec25cb1c830e2cb29596b90c95d4a60", EMPTY),
     "check-uncovered": ("check -u 2 -v=-2 --primes-max 100", EXIT_NEGATIVE,
@@ -327,6 +329,16 @@ class TestCf:
             monkeypatch, capsys, [command, "-u=1", "-v=-2", *flags],
             (laurent, "expand_g"), (recurrence, "run_over_q"), expect=expect,
         )
+
+    @pytest.mark.parametrize("command", ["cf", "mu"])
+    def test_depth_cap_below_first_depth_is_usage_error(self, monkeypatch, capsys, command):
+        # -n 20 expands first to depth 44, which a cap of 10 could not bound
+        err = refused_before_any_run(
+            monkeypatch, capsys, [command, "-u", "2", "-v", "3", "-n", "20", "--depth-cap", "10"],
+            (laurent, "expand_g"), (recurrence, "run_over_q"),
+            expect="--depth-cap 10 is below the first expansion depth 44",
+        )
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("n, expected", [
         (200, [404, 808, 1616, 3232, 6464, 12928, MAX_DEPTH]),
@@ -662,6 +674,26 @@ assert isinstance(grid, numpy.ndarray) and grid.dtype == numpy.int32
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["recurrence", "-u", "5", "-v", "1", "-p", "11", "-n", "30000"],
+        ["scan", "--p-min", "3", "--p-max", "40", "-N", "1"],
+    ], ids=["recurrence", "scan"])
+    def test_document_is_written_as_it_is_encoded(self, tmp_path, argv):
+        # no copy of the whole encoded text is held, so the traced peak stays
+        # within a few times the bytes written; numpy is loaded first, so the
+        # trace holds the command and its document only
+        import numpy  # noqa: F401
+
+        path = tmp_path / "doc"
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--out", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 6 * path.stat().st_size
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "run.json"

@@ -1,14 +1,16 @@
-"""The int engine against independent code: the Fraction run reduced mod p
-for single runs, a plain loop with a ``pow`` per inversion and no block
-memo for the memoised kernel (also survivors to far horizons, where nearly
-every block is a memo hit, and pairs that die late), per-pair runs at every
-u for the scan (which runs half the rows and mirrors them across u -> -u),
-the parity in u that the mirror rests on, and a direct membership probe for
-the coverage count."""
+"""The engine against independent code: the Fraction run reduced mod p
+for single runs, a plain loop with an inversion per division (``pow`` mod
+p, ``1 / x`` over Q) and no block memo for the memoised kernel over F_p and
+over Q (also survivors to far horizons, where nearly every block is a memo
+hit, and pairs that die late), the traced memory of a run at a large p,
+per-pair runs at every u for the scan (which runs half the rows and mirrors
+them across u -> -u), the parity in u that the mirror rests on, and a
+direct membership probe for the coverage count."""
 
 import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,17 +22,19 @@ from mahlercf.recurrence import run_over_q
 
 
 def reference_run_history(u, v, p, n):
-    """run_history as a plain loop: two ``pow`` inversions per block, no memo,
-    with a check before every division and on every beta, so the differential
-    tests show that the kernel's unchecked steps never needed one (a zero
-    divisor returns the index negated, which the kernel never does)."""
+    """run_history as a plain loop: two inversions per block (``pow`` mod p,
+    ``1 / x`` over ``kernels.Q``), no memo, with a check before every
+    division and on every beta, so the differential tests show that the
+    kernel's unchecked steps never needed one (a zero divisor returns the
+    index negated, which the kernel never does)."""
+    inv = (lambda x: 1 / x) if p is kernels.Q else (lambda x: pow(x, -1, p))
     u %= p
     v %= p
     alphas = [0, -u % p]
     betas = [0, 1, (u * u - v) % p]
     if betas[2] == 0:
         return alphas, betas, 2
-    dinv = pow(v - u * u, -1, p)
+    dinv = inv(v - u * u)
     alphas += (u * (2 * v - 1 - u * u) * dinv % p, -u * (v - 1) * dinv % p)
     betas.append((u * u + u ** 4 + v ** 3 - 3 * u * u * v) * dinv * dinv % p)
     if betas[3] == 0:
@@ -41,7 +45,7 @@ def reference_run_history(u, v, p, n):
         denom = betas[3 * k + 3] * betas[3 * k + 2] % p
         if denom == 0:
             return alphas, betas, -(3 * k + 4)
-        b4 = betas[k + 2] * pow(denom, -1, p) % p
+        b4 = betas[k + 2] * inv(denom) % p
         betas.append(b4)
         if b4 == 0:
             return alphas, betas, 3 * k + 4
@@ -50,7 +54,7 @@ def reference_run_history(u, v, p, n):
         if b5 == 0:
             return alphas, betas, 3 * k + 5
         a5 = (alphas[k + 2] + u * v - alphas[3 * k + 2] * b4) % p
-        a5 = (u - a5 * pow(b5, -1, p)) % p
+        a5 = (u - a5 * inv(b5)) % p
         a6 = (u - a5) % p
         alphas += (a5, a6)
         b6 = (v - a5 * a6) % p
@@ -110,9 +114,9 @@ class TestRunHistoryAgainstReference:
 
 
 class TestNoInverseLeaksBetweenRuns:
-    """Inverses are valid for one p and one call only: the same residues run
-    at two primes back to back, and on threads at once, must each equal the
-    plain loop."""
+    """A run's memo is valid for one p and one call only: the same residues
+    run at two primes back to back, and on threads at once, must each equal
+    the plain loop."""
 
     PAIRS = [(u, v) for u in range(7) for v in range(7)]
     N = 600
@@ -153,6 +157,46 @@ class TestNoInverseLeaksBetweenRuns:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
+
+
+def test_run_over_q_matches_reference():
+    """The Q path of run_history against the plain loop's two divisions per
+    block: 300 seeded rational pairs, each at one of four horizons, and at
+    every horizon the pairs that die at 2, 3 and 6 over Q. No rational pair
+    of small height dies at 3k + 5 over Q (none of the 70483 pairs with
+    u >= 0 and numerators up to 30, denominators up to 10, run to index 30),
+    so that branch is checked mod p only."""
+    horizons = (3, 12, 60, 120)
+    dying = [(1, 1), (Fraction(2, 3), Fraction(4, 9)), (1, -2), (-1, -2), (2, 1),
+             (Fraction(-1, 2), Fraction(-1, 2))]
+    cases = [(u, v, n) for u, v in dying for n in horizons]
+    rng = random.Random(20261019)
+    for i in range(300):
+        u, v = (Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(2))
+        cases.append((u, v, horizons[i % 4]))
+    deaths = set()
+    for u, v, n in cases:
+        u, v = Fraction(u), Fraction(v)
+        got = kernels.run_history(u, v, kernels.Q, n)
+        assert got == reference_run_history(u, v, kernels.Q, n), (u, v, n)
+        deaths.add(got[2])
+    assert {0, 2, 3, 6} <= deaths
+
+
+def test_run_at_a_large_prime_holds_little_beyond_its_history():
+    """At a large p block states rarely repeat: the block memo stops at
+    _MAX_STEPS states and a miss keeps no inverse, so the traced peak of a
+    run is little more than the lists it returns (a memo of inverses, two
+    entries per block, would take it to ~1.9 times)."""
+    tracemalloc.start()
+    try:
+        alphas, betas, fail = kernels.run_history(123456789, 987654321, 2**61 - 1, 50_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fail == 0
+    held = {id(x): sys.getsizeof(x) for x in alphas + betas}
+    assert peak < 1.2 * (sys.getsizeof(alphas) + sys.getsizeof(betas) + sum(held.values()))
 
 
 def test_history_matches_field_elements():
