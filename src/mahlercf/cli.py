@@ -38,7 +38,7 @@ EXIT_USAGE = 64
 # and `recurrence -n 10**6` on a survivor peaks at ~55 MB at p = 11, ~106 MB
 # at p = 10**9 + 7 and ~132 MB at the largest admitted p, the largest prime
 # below PRIMALITY_LIMIT (82 bits), where residues rarely repeat and the
-# run's block memo stops at kernels._MAX_STEPS states (peak RSS of a fresh
+# run's memo stops at kernels._MAX_STEPS units (peak RSS of a fresh
 # process, the document written as it is encoded).
 MAX_HORIZON = 10**6
 
@@ -97,14 +97,16 @@ def _nonnegative(text: str) -> int:
 
 
 def _write(doc, fh) -> None:
-    # encoded into fh a piece of 4096 chunks at a time: no copy of the whole
-    # text is held, and an unbuffered stdout is not written once per number
+    # encoded into fh a piece of 4096 chunks (JSON tokens or CSV rows) at a
+    # time: no copy of the whole text is held, and an unbuffered stdout is
+    # not written once per number or per row
     if isinstance(doc, dict):
         chunks = itertools.chain(json.JSONEncoder(indent=2).iterencode(doc), "\n")
-        while piece := "".join(itertools.islice(chunks, 4096)):
-            fh.write(piece)
     else:
-        csv.writer(fh).writerows(doc)
+        # writerow returns what its file's write returns: here the row's text
+        chunks = map(csv.writer(argparse.Namespace(write=str)).writerow, doc)
+    while piece := "".join(itertools.islice(chunks, 4096)):
+        fh.write(piece)
 
 
 def _emit(doc, args) -> None:

@@ -4,14 +4,14 @@ survivor scans, and the integer-grid coverage count.
 One engine: every run, over Q or mod p, single or in a scan, is the scalar
 loop ``run_history``. Mod p it works on Python ints, which cannot overflow;
 over Q it is the same loop on Fractions, with the modulus ``Q``, for which
-reducing is the identity and an inverse is 1/x. Its one memo, a block
-memo for one call, makes a block state met again one dict lookup. A
-survivor mod p meets few block states, the finite 3-kernel of an
-automatic sequence (Allouche & Shallit, *Automatic Sequences*,
-Thm 6.6.2): over the 222 condition pairs with p <= 100, at most 32
-(median 9) to 10^4 indices and at most 48 to 10^6. So nearly every block
-of a long survivor run is a lookup, and a miss inverts once (Montgomery's
-simultaneous inversion).
+reducing is the identity and an inverse is 1/x. Its one memo, for one
+call, holds units of the three blocks that read one parent block's
+outputs, nine indices, so a unit met again is one dict lookup. A survivor
+mod p meets few units, the finite 3-kernel of an automatic sequence
+(Allouche & Shallit, *Automatic Sequences*, Thm 6.6.2): over the 222
+condition pairs with p <= 100, at most 15 (median 4) to 10^4 indices and
+at most 23 to 10^6, so its long runs are nearly all lookups. A missed
+block inverts once (Montgomery's simultaneous inversion).
 The coverage count marks each condition pair's lattice in a boolean grid
 with strided slices. numpy is imported only inside the two kernels whose
 product is an array, ``scan_grid`` and ``density_count``; importing this
@@ -56,11 +56,11 @@ def get_backend() -> str:
     return "numpy"
 
 
-# Block states the block memo of one run keeps: past this, a run goes on
-# looking up but stores no more. Survivors need a few dozen, so a run that
-# fills it is one whose states do not repeat, such as any run at a large p,
+# Units (nine indices each) the memo of one run keeps: past this, a run
+# goes on looking up but stores no more. Survivors need two dozen at most,
+# so a run that fills it is one whose units do not repeat, as at a large p,
 # and the bound keeps its memo from adding to the peak of a 10^6-index run
-# (131 -> 223 MB unbounded at the largest admitted prime, fresh process).
+# (132 -> 179 MB unbounded at the largest admitted prime, fresh process).
 _MAX_STEPS = 1024
 
 
@@ -74,22 +74,24 @@ def run_history(u, v, p, n: int):
     beta_{3k+5} is the zero. Mod p, u and v are ints; over Q, Fractions.
 
     Block k writes beta_{3k+4}, beta_{3k+5}, alpha_{3k+5}, alpha_{3k+6} and
-    beta_{3k+6} (alpha_{3k+4} is -u) from five values: the cross-scale slot
-    alpha_{k+2}, beta_{k+2} and the carry alpha_{3k+2}, beta_{3k+2},
-    beta_{3k+3}. A memo that lives for this call keys on those five and
-    holds the block's alpha and beta triples and the next carry, so a block
-    state met again costs a lookup and two list extends: a survivor mod p
-    meets a few dozen states at most and repeats them for the rest of the
-    run. A zero beta_{3k+5} returns before anything is stored, and a stored
-    step with a zero beta_{3k+6} ends the run, so it is never met again.
-    The memo stops growing at ``_MAX_STEPS`` states. A miss inverts once:
-    with d = beta_{3k+3} beta_{3k+2} and e = (u^2 - v) d - beta_{k+2}, so
-    that beta_{3k+4} = beta_{k+2}/d and beta_{3k+5} = e/d, the inverse t of
-    d e gives beta_{3k+4} = beta_{k+2} e t and 1/beta_{3k+5} = d^2 t; only
-    a zero e inverts d alone. Where states rarely repeat, at a large p or in
-    a scan past p ~ 40 where most pairs die within a few hundred indices,
-    each block pays for a lookup that misses: a 10^6-index run at
-    p = 10^9 + 7 takes ~9% longer than without the block memo.
+    beta_{3k+6} (alpha_{3k+4} is -u) from the cross-scale slot alpha_{k+2},
+    beta_{k+2} and the carry alpha_{3k+2}, beta_{3k+2}, beta_{3k+3}. After
+    blocks 0 and 1, which read the seeds, blocks 3m+2..3m+4 read slots
+    3m+4..3m+6, the outputs of parent block m. The memo of this call keys
+    such a unit on alpha_{3m+5}, beta_{3m+4} and the carry's alpha_{3k+2},
+    beta_{3k+2} (k = 3m+2), which fix the rest: alpha_{3m+6} = u -
+    alpha_{3m+5}, beta_{3m+5} = (u^2 - v) - beta_{3m+4} and every
+    beta_{3j+3} = v - alpha_{3j+2} alpha_{3j+3}. An entry holds the unit's
+    nine alphas, nine betas and the next carry, so a unit met again costs a
+    lookup and two list extends. A miss steps the blocks one at a time, up
+    to a zero beta or the boundary; only whole, zero-free units are stored
+    (at most ``_MAX_STEPS``), and a hit that passes the boundary is cut back
+    to it. A miss inverts once per block: with d = beta_{3k+3} beta_{3k+2}
+    and e = (u^2 - v) d - beta_{k+2}, so that beta_{3k+4} = beta_{k+2}/d and
+    beta_{3k+5} = e/d, the inverse t of d e gives beta_{3k+4} = beta_{k+2}
+    e t and 1/beta_{3k+5} = d^2 t; only a zero e inverts d alone. Where
+    units rarely repeat (a large p, a scan past p ~ 40), a lookup misses: a
+    10^6-index run at p = 10^9 + 7 takes ~5% longer than without it.
     """
     inv = (lambda x: 1 / x) if p is Q else (lambda x: pow(x, -1, p))
     u %= p
@@ -106,37 +108,45 @@ def run_history(u, v, p, n: int):
     c = (u * u - v) % p
     uv = u * v
     neg_u = -u % p
-    steps = {}
+    end = max(3, n + (-n) % 3)  # the block boundary >= max(n, 3)
+    blocks = end // 3 - 1  # blocks 0..blocks-1 run, block k ending at 3k + 6
+    units = {}
+    key = None  # the key of the unit being stepped, stored once it is whole
     a2, b2, b3 = alphas[2], betas[2], betas[3]  # alpha, beta at 3k+2; beta at 3k+3
     k = 0
-    i = 3  # = 3k + 3, the last index of the previous block
-    while i < n:
-        key = (alphas[k + 2], betas[k + 2], a2, b2, b3)
-        step = steps.get(key)
-        if step is None:
-            d = b3 * b2 % p
-            e = (c * d - key[1]) % p
-            if e == 0:  # beta_{3k+5}
-                alphas.append(neg_u)
-                betas += (key[1] * inv(d) % p, e)
-                return alphas, betas, i + 2
-            t = inv(d * e % p)
-            # e t = 1/d and d t = 1/e first: over Q they are the small products
-            b4 = key[1] * (e * t) % p
-            b5 = (c - b4) % p
-            a5 = (u - (key[0] + uv - a2 * b4) * (d * (d * t))) % p
-            a6 = (u - a5) % p
-            b6 = (v - a5 * a6) % p
-            step = (neg_u, a5, a6), (b4, b5, b6), a5, b5, b6
-            if len(steps) < _MAX_STEPS:
-                steps[key] = step
-        a_new, b_new, a2, b2, b3 = step
-        alphas += a_new
-        betas += b_new
-        if b3 == 0:  # beta_{3k+6}, only ever on a miss
-            return alphas, betas, i + 3
+    while k < blocks:
+        if k % 3 == 2:  # blocks k..k+2 read slots k+2..k+4: parent (k-2)/3
+            if key is not None and len(units) < _MAX_STEPS:
+                units[key] = alphas[-9:], betas[-9:], a2, b2, b3
+            key = (alphas[k + 3], betas[k + 2], a2, b2)
+            unit = units.get(key)
+            if unit is not None:
+                a_new, b_new, a2, b2, b3 = unit
+                alphas += a_new
+                betas += b_new
+                key = None
+                k += 3
+                continue
+        d = b3 * b2 % p
+        e = (c * d - betas[k + 2]) % p
+        if e == 0:  # beta_{3k+5}
+            alphas.append(neg_u)
+            betas += (betas[k + 2] * inv(d) % p, e)
+            return alphas, betas, 3 * k + 5
+        t = inv(d * e % p)
+        # e t = 1/d and d t = 1/e first: over Q they are the small products
+        b4 = betas[k + 2] * (e * t) % p
+        # the next carry: alpha_{3k+5}, beta_{3k+5}, beta_{3k+6}
+        a2 = (u - (alphas[k + 2] + uv - a2 * b4) * (d * (d * t))) % p
+        a6 = (u - a2) % p
+        b2 = (c - b4) % p
+        b3 = (v - a2 * a6) % p
+        alphas += (neg_u, a2, a6)
+        betas += (b4, b2, b3)
+        if b3 == 0:  # beta_{3k+6}
+            return alphas, betas, 3 * k + 6
         k += 1
-        i += 3
+    del alphas[end + 1:], betas[end + 1:]  # a unit may end past the boundary
     return alphas, betas, 0
 
 

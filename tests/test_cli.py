@@ -695,6 +695,22 @@ assert isinstance(grid, numpy.ndarray) and grid.dtype == numpy.int32
         assert code == EXIT_OK
         assert peak < 6 * path.stat().st_size
 
+    def test_csv_rows_are_written_thousands_at_a_time(self, monkeypatch):
+        # an unbuffered stdout makes one system call per write
+        class CountingStdout(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["scan", "--p-min", "3", "--p-max", "40", "-N", "1", "--format", "csv"]) == EXIT_OK
+        rows = out.getvalue().count("\n")
+        assert rows > 4000
+        assert out.writes <= rows / 1000 + 2
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "run.json"
         code = main(["recurrence", "-u", "2", "-v", "3", "-n", "3", "--out", str(path)])

@@ -1,11 +1,12 @@
 """The engine against independent code: the Fraction run reduced mod p
 for single runs, a plain loop with an inversion per division (``pow`` mod
-p, ``1 / x`` over Q) and no block memo for the memoised kernel over F_p and
-over Q (also survivors to far horizons, where nearly every block is a memo
-hit, and pairs that die late), the traced memory of a run at a large p,
-per-pair runs at every u for the scan (which runs half the rows and mirrors
-them across u -> -u), the parity in u that the mirror rests on, and a
-direct membership probe for the coverage count."""
+p, ``1 / x`` over Q) and no memo for the memoised kernel over F_p and
+over Q (also survivors to far horizons, where nearly every nine-index unit
+is a memo hit, pairs that die late, and every horizon up to 40, so that the
+boundary falls at every place in a unit), the traced memory of a run at a
+large p, per-pair runs at every u for the scan (which runs half the rows
+and mirrors them across u -> -u), the parity in u that the mirror rests
+on, and a direct membership probe for the coverage count."""
 
 import random
 import sys
@@ -77,7 +78,8 @@ class TestRunHistoryAgainstReference:
 
     @pytest.mark.parametrize("p", primes_between(3, 23))
     def test_every_pair(self, p):
-        for n in (1, 2, 3, 4, 5, 6, 7, 8, 100, 2000):
+        # every n to 40 puts the boundary >= n at every place in a nine-index unit
+        for n in (*range(1, 41), 100, 2000):
             for u in range(p):
                 for v in range(p):
                     assert kernels.run_history(u, v, p, n) == reference_run_history(u, v, p, n), (u, v, n)
@@ -92,7 +94,7 @@ class TestRunHistoryAgainstReference:
 
     @pytest.mark.parametrize("p", primes_between(3, 50))
     def test_condition_pairs_far_horizon(self, p):
-        # survivors: after a few dozen distinct blocks every step is a memo hit
+        # survivors: after a few distinct units every unit is a memo hit
         for u, v in conditions.satisfying_pairs(p):
             got = kernels.run_history(u, v, p, 10_000)
             assert got[2] == 0, (u, v)
@@ -105,12 +107,15 @@ class TestRunHistoryAgainstReference:
         (18, 37, 47, 791),
     ])
     def test_late_deaths(self, u, v, p, index):
-        # dies after many memo hits, past the horizons and primes of test_every_pair
-        for n in (index - 3, index, 10_000):
+        # dies after many memo hits, past the horizons and primes of
+        # test_every_pair; below its index the zero lies past the boundary
+        # >= n, in the unit the boundary cuts, and is neither computed nor
+        # reported
+        for n in (*range(index - 9, index + 1), 10_000):
             got = kernels.run_history(u, v, p, n)
             assert got == reference_run_history(u, v, p, n), n
+            assert kernels.first_zero(u, v, p, n) == (index if n >= index else 0), n
         assert got[2] == index
-        assert kernels.first_zero(u, v, p, index - 1) == 0
 
 
 class TestNoInverseLeaksBetweenRuns:
@@ -161,11 +166,12 @@ class TestNoInverseLeaksBetweenRuns:
 
 def test_run_over_q_matches_reference():
     """The Q path of run_history against the plain loop's two divisions per
-    block: 300 seeded rational pairs, each at one of four horizons, and at
-    every horizon the pairs that die at 2, 3 and 6 over Q. No rational pair
-    of small height dies at 3k + 5 over Q (none of the 70483 pairs with
-    u >= 0 and numerators up to 30, denominators up to 10, run to index 30),
-    so that branch is checked mod p only."""
+    block: 300 seeded rational pairs, each at one of four horizons (the
+    first 100 also at every n to 40), and at every horizon the pairs that
+    die at 2, 3 and 6 over Q. No rational pair of small height dies at
+    3k + 5 over Q (none of the 70483 pairs with u >= 0 and numerators up to
+    30, denominators up to 10, run to index 30), so that branch is checked
+    mod p only."""
     horizons = (3, 12, 60, 120)
     dying = [(1, 1), (Fraction(2, 3), Fraction(4, 9)), (1, -2), (-1, -2), (2, 1),
              (Fraction(-1, 2), Fraction(-1, 2))]
@@ -174,6 +180,8 @@ def test_run_over_q_matches_reference():
     for i in range(300):
         u, v = (Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(2))
         cases.append((u, v, horizons[i % 4]))
+        if i < 100:  # the boundary >= n at every place in a nine-index unit
+            cases += [(u, v, n) for n in range(1, 41)]
     deaths = set()
     for u, v, n in cases:
         u, v = Fraction(u), Fraction(v)
@@ -184,10 +192,10 @@ def test_run_over_q_matches_reference():
 
 
 def test_run_at_a_large_prime_holds_little_beyond_its_history():
-    """At a large p block states rarely repeat: the block memo stops at
-    _MAX_STEPS states and a miss keeps no inverse, so the traced peak of a
-    run is little more than the lists it returns (a memo of inverses, two
-    entries per block, would take it to ~1.9 times)."""
+    """At a large p the memo's units rarely repeat: it stops at _MAX_STEPS
+    units and a miss keeps no inverse, so the traced peak of a run is
+    little more than the lists it returns (a memo of inverses, two entries
+    per block, would take it to ~1.9 times)."""
     tracemalloc.start()
     try:
         alphas, betas, fail = kernels.run_history(123456789, 987654321, 2**61 - 1, 50_000)
