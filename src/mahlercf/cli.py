@@ -119,13 +119,6 @@ def _emit(doc, args) -> None:
         raise SystemExit(f"cannot write --out {args.out}: {exc.strerror}")
 
 
-def _scalar_list(values):
-    try:
-        return [str(x) for x in values]
-    except ValueError as exc:  # Python's int-to-str digit limit
-        raise SystemExit(f"an exact value is too long to print: {exc}")
-
-
 def _require_prime(p: int) -> None:
     try:
         check_odd_prime(p)
@@ -149,26 +142,41 @@ def _residue(name: str, x: Fraction, p: int) -> int:
 # commands
 # ---------------------------------------------------------------------------
 
-def _status(run):
-    """"ok", or the index and cause of the run's failure."""
-    return "ok" if run.ok else {"failed_at": run.failure.index, "cause": run.failure.cause}
+def _history(u, v, p, n: int):
+    """The run of (u, v) to n indices over Q (p None) or F_p, and its first
+    n alphas and betas as printed, with "ok" or the failure as its status.
+
+    Over Q the run grows through 729, 2187, 6561, ... indices below n and
+    each prefix is printed, so a value past Python's int-to-str digit limit
+    is refused soon after it appears, not after the whole run; the probes
+    cost a run that stays printable at most 1.5 times its own length.
+    """
+    m = n if p else min(n, 729)
+    while True:
+        run = recurrence.run_mod_p(u, v, p, m) if p else recurrence.run_over_q(u, v, m)
+        alphas, betas = run.alphas[:n], run.betas[:n]
+        if not p:  # rationals print as exact 'num/den' strings
+            try:
+                alphas, betas = [str(x) for x in alphas], [str(x) for x in betas]
+            except ValueError as exc:  # Python's int-to-str digit limit
+                raise SystemExit(f"an exact value is too long to print: {exc}")
+        if m == n or not run.ok:
+            break
+        m = min(3 * m, n)
+    status = "ok" if run.ok else {"failed_at": run.failure.index, "cause": run.failure.cause}
+    return run, {"alphas": alphas, "betas": betas, "status": status}
 
 
 def cmd_recurrence(args):
-    n = args.n
+    n, p = args.n, args.p
     _require_at_most("-n", n, MAX_HORIZON)
-    if args.p is None:
-        run = recurrence.run_over_q(args.u, args.v, n)
-        u, v, field = str(args.u), str(args.v), "Q"
-        alphas, betas = _scalar_list(run.alphas[:n]), _scalar_list(run.betas[:n])
+    if p is None:
+        u, v, field = args.u, args.v, "Q"
     else:
-        _require_prime(args.p)
-        u, v = _residue("u", args.u, args.p), _residue("v", args.v, args.p)
-        run = recurrence.run_mod_p(u, v, args.p, n)
-        field = f"F_{args.p}"
-        alphas, betas = list(run.alphas[:n]), list(run.betas[:n])
-    doc = {"u": u, "v": v, "field": field, "n": n, "alphas": alphas, "betas": betas,
-           "status": _status(run)}
+        _require_prime(p)
+        u, v, field = _residue("u", args.u, p), _residue("v", args.v, p), f"F_{p}"
+    run, history = _history(u, v, p, n)
+    doc = {"u": u if p else str(u), "v": v if p else str(v), "field": field, "n": n, **history}
     return doc, EXIT_OK if run.ok else EXIT_MATH_FAILURE
 
 
@@ -211,13 +219,8 @@ def _depths(args) -> tuple[int, int]:
 def cmd_cf(args):
     n = args.n
     first, depth_cap = _depths(args)
-    run = recurrence.run_over_q(args.u, args.v, n)
+    run, history = _history(args.u, args.v, None, n)
     failed = None if run.ok else f"RECURRENCE FAILED at {run.failure.index}"
-    history = {
-        "alphas": _scalar_list(run.alphas[:n]),
-        "betas": _scalar_list(run.betas[:n]),
-        "status": _status(run),
-    }
     doc = {"u": str(args.u), "v": str(args.v), "n": n}
     try:
         cf, depth = _extract_with_retry(args.u, args.v, n, first, depth_cap)

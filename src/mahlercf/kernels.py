@@ -23,11 +23,6 @@ beta_{3k+5} come from betas and u^2 - v; alpha_{3k+5} = u - (odd + uv -
 odd * even) / even is odd, so is alpha_{3k+6} = u - alpha_{3k+5}, and
 beta_{3k+6} = v - odd * odd is even. So (u, v) and (-u, v) stop at the
 same index.
-
-A run stops only at a zero beta. Only beta_2, beta_3, beta_{3k+5} and
-beta_{3k+6} can vanish: beta_{3k+4} = beta_{k+2}/(beta_{3k+3} beta_{3k+2})
-is a quotient of earlier betas, all already nonzero, so no division ever
-meets a zero divisor.
 """
 
 from __future__ import annotations
@@ -89,30 +84,31 @@ def run_history(u, v, p, n: int):
     to it. A miss inverts once per block: with d = beta_{3k+3} beta_{3k+2}
     and e = (u^2 - v) d - beta_{k+2}, so that beta_{3k+4} = beta_{k+2}/d and
     beta_{3k+5} = e/d, the inverse t of d e gives beta_{3k+4} = beta_{k+2}
-    e t and 1/beta_{3k+5} = d^2 t; only a zero e inverts d alone. Where
-    units rarely repeat (a large p, a scan past p ~ 40), a lookup misses: a
-    10^6-index run at p = 10^9 + 7 takes ~5% longer than without it.
+    e t and 1/beta_{3k+5} = d^2 t. Where units rarely repeat (a large p, a
+    scan past p ~ 40), a lookup misses: a 10^6-index run at p = 10^9 + 7
+    takes ~5% longer than without it.
     """
     inv = (lambda x: 1 / x) if p is Q else (lambda x: pow(x, -1, p))
     u %= p
     v %= p
+    c = (u * u - v) % p  # beta_2, and beta_{3k+4} + beta_{3k+5} in every block
     alphas = [0, -u % p]
-    betas = [0, 1, (u * u - v) % p]
-    if betas[2] == 0:
+    betas = [0, 1, c]
+    if c == 0:
         return alphas, betas, 2
-    dinv = inv(-betas[2] % p)
-    alphas += (u * (2 * v - 1 - u * u) * dinv % p, -u * (v - 1) * dinv % p)
-    betas.append((u * u + u ** 4 + v ** 3 - 3 * u * u * v) * dinv * dinv % p)
+    # alpha_3 and beta_3 by the block's tail rules (``recurrence`` docstring)
+    a2 = u * (u * u + 1 - 2 * v) * inv(c) % p
+    alphas += (a2, (u - a2) % p)
+    betas.append((v - a2 * alphas[3]) % p)
     if betas[3] == 0:
         return alphas, betas, 3
-    c = (u * u - v) % p
     uv = u * v
     neg_u = -u % p
     end = max(3, n + (-n) % 3)  # the block boundary >= max(n, 3)
     blocks = end // 3 - 1  # blocks 0..blocks-1 run, block k ending at 3k + 6
     units = {}
     key = None  # the key of the unit being stepped, stored once it is whole
-    a2, b2, b3 = alphas[2], betas[2], betas[3]  # alpha, beta at 3k+2; beta at 3k+3
+    b2, b3 = c, betas[3]  # the carry: alpha, beta at 3k+2; beta at 3k+3
     k = 0
     while k < blocks:
         if k % 3 == 2:  # blocks k..k+2 read slots k+2..k+4: parent (k-2)/3
@@ -129,9 +125,9 @@ def run_history(u, v, p, n: int):
                 continue
         d = b3 * b2 % p
         e = (c * d - betas[k + 2]) % p
-        if e == 0:  # beta_{3k+5}
+        if e == 0:  # beta_{3k+5}, so beta_{3k+4} = u^2 - v
             alphas.append(neg_u)
-            betas += (betas[k + 2] * inv(d) % p, e)
+            betas += (c, e)
             return alphas, betas, 3 * k + 5
         t = inv(d * e % p)
         # e t = 1/d and d t = 1/e first: over Q they are the small products

@@ -15,6 +15,10 @@ and extended three indices at a time, for k = 0, 1, 2, ...
     alpha_{3k+6} = u - alpha_{3k+5}
     beta_{3k+6}  = v - alpha_{3k+5} alpha_{3k+6}
 
+The seeds satisfy the rules for alpha_{3k+6} and beta_{3k+6} at k = -1,
+alpha_3 = u - alpha_2 and beta_3 = v - alpha_2 alpha_3, and the engine
+computes alpha_3 and beta_3 from alpha_2 by them.
+
 While every beta_i stays nonzero these are exactly the constants of the
 continued fraction of the associated Mahler product, with monic linear
 partial quotients a_i(z) = z + alpha_i. A vanishing beta is the interesting
@@ -52,9 +56,9 @@ class Failure:
 
 
 class RecurrenceRun:
-    """The (alpha_i, beta_i) sequences of one pair (u, v), seeded to length
-    3: over Q in Fractions by default, or over F_p for an odd prime p, where
-    u, v and every entry are residues in [0, p).
+    """The (alpha_i, beta_i) sequences of one pair (u, v), extended to length
+    n (the seeds, 3, by default): over Q in Fractions by default, or over
+    F_p for an odd prime p, where u, v and every entry are residues in [0, p).
 
     ``alpha(i)``/``beta(i)`` are 1-based. On BETA_ZERO the zero entry exists
     (``beta(failure.index) == 0``) and nothing beyond it; the alpha list may
@@ -64,18 +68,14 @@ class RecurrenceRun:
 
     __slots__ = ("u", "v", "p", "alphas", "betas", "failure")
 
-    def __init__(self, u, v, p=kernels.Q):
+    def __init__(self, u, v, p=kernels.Q, n: int = 3):
         if p is kernels.Q:
             u, v = as_scalar(u), as_scalar(v)
         else:
             check_odd_prime(p)
         self.u, self.v, self.p = u % p, v % p, p
-        self._run(3)
-
-    def _run(self, n: int) -> None:
-        alphas, betas, idx = kernels.run_history(self.u, self.v, self.p, n)
-        self.alphas, self.betas = tuple(alphas[1:]), tuple(betas[1:])
-        self.failure = Failure(idx, BETA_ZERO) if idx else None
+        self.alphas, self.betas, self.failure = (), (), None
+        self.extend(max(n, 3))
 
     @property
     def ok(self) -> bool:
@@ -107,7 +107,9 @@ class RecurrenceRun:
                 f"{self.failure.index} ({self.failure.cause})"
             )
         if len(self.betas) < target_len:
-            self._run(target_len)
+            alphas, betas, idx = kernels.run_history(self.u, self.v, self.p, target_len)
+            self.alphas, self.betas = tuple(alphas[1:]), tuple(betas[1:])
+            self.failure = Failure(idx, BETA_ZERO) if idx else None
         return self
 
 
@@ -123,8 +125,7 @@ def extend_run(run: RecurrenceRun, target_len: int) -> RecurrenceRun:
 
 def run_over_q(u, v, n: int) -> RecurrenceRun:
     """Run over Q to length >= n or first failure."""
-    run = RecurrenceRun(u, v)
-    return run.extend(n) if run.ok else run
+    return RecurrenceRun(u, v, n=n)
 
 
 def run_mod_p(u: int, v: int, p: int, n: int) -> RecurrenceRun:
@@ -132,8 +133,7 @@ def run_mod_p(u: int, v: int, p: int, n: int) -> RecurrenceRun:
 
     Like run_over_q, a failure inside the last block counts even past n.
     """
-    run = RecurrenceRun(u, v, p)
-    return run.extend(n) if run.ok else run
+    return RecurrenceRun(u, v, p, n)
 
 
 def history_mod_p(u: int, v: int, p: int, n: int):

@@ -42,8 +42,10 @@ class ScanResult:
     condition_pairs: set = field(init=False)
 
     def __post_init__(self):
-        us, vs = (self.first_zero == 0).nonzero()
-        self.survivors = {(int(u), int(v)) for u, v in zip(us, vs)}
+        self.survivors = {
+            (u, v) for u, row in enumerate(self.first_zero.tolist())
+            for v, idx in enumerate(row) if not idx
+        }
         self.condition_pairs = set(satisfying_pairs(self.p))
 
     @property
@@ -67,10 +69,9 @@ class ScanResult:
 
     def csv_rows(self):
         """(p, u, v, first_zero_index or 'survived') for every pair."""
-        for u in range(self.p):
-            for v in range(self.p):
-                idx = int(self.first_zero[u, v])
-                yield self.p, u, v, (idx if idx else "survived")
+        for u, row in enumerate(self.first_zero.tolist()):
+            for v, idx in enumerate(row):
+                yield self.p, u, v, idx or "survived"
 
 
 def scan_prime(p: int, max_index: int = DEFAULT_HORIZON) -> ScanResult:

@@ -75,6 +75,13 @@ PINNED_OUTPUT = {
         "33d3b37fd68bc4da71c6b862204b980cf2d8301b8ce5a4035614caa55e860923", EMPTY),
     "recurrence-failure": ("recurrence -u 1 -v 1 -n 10", EXIT_MATH_FAILURE,
         "1a87d84a63802dd7b7bb801c6a259b5c3345ead5d2066080591a4716d1471a6b", EMPTY),
+    "recurrence-q-dies-at-3": ("recurrence -u 1 -v=-2 -n 5", EXIT_MATH_FAILURE,
+        "04f7e5b2210e3a3c9fe1e6f3bcdf982ebed0aff7e0866da5d35727c25903a2f5", EMPTY),
+    "recurrence-dies-at-3-past-n": ("recurrence -u 1 -v 3 -p 5 -n 2", EXIT_MATH_FAILURE,
+        "822fd1a4b0ceefb48c688f21c35857cad3d49aa7addff204bcf03346e0dfb2db", EMPTY),
+    # beta_8 = 0 at 3k+5 (k = 1): alpha_8 is absent and beta_7 = u^2 - v = 6
+    "recurrence-dies-at-3k+5": ("recurrence -u 3 -v 3 -p 11 -n 8", EXIT_MATH_FAILURE,
+        "b4c657cc25a0f48dbbb7942ca7ad9e35190ea1d2c1b8db7524ac602eb6bd1717", EMPTY),
     "recurrence-no-residue": ("recurrence -u=1/7 -v=1 -p 7 -n 5", EXIT_USAGE,
         EMPTY, "f5c3016243b6945225a264d7a59059fbbd88881f2059a5ddeb46f28432dfcc05"),
     "recurrence-bad-u": ("recurrence -u=abc -v=1 -n 3", EXIT_USAGE,
@@ -252,6 +259,34 @@ class TestRecurrence:
         assert code == EXIT_USAGE
         assert captured.out == ""
         assert "4300 digits" in captured.err
+
+    def test_overlong_value_is_refused_before_the_full_run(self, monkeypatch, capsys):
+        # the same bytes as a run to 6000 printed whole, but the run grows
+        # through 729, 2187, ... indices and stops at the first prefix that
+        # holds a value past the limit
+        lengths = []
+        run_history = recurrence.kernels.run_history
+
+        def recorded(u, v, p, n):
+            assert n < 6000, "a run to the full length started"
+            lengths.append(n)
+            return run_history(u, v, p, n)
+
+        monkeypatch.setattr(recurrence.kernels, "run_history", recorded)
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code = main(["recurrence", "-u", "5", "-v", "1", "-n", "6000"])
+        finally:
+            sys.set_int_max_str_digits(previous)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err == (
+            "mahlercf: an exact value is too long to print: Exceeds the limit (640 digits) "
+            "for integer string conversion; use sys.set_int_max_str_digits() to increase "
+            "the limit\n"
+        )
+        assert lengths and max(lengths) < 6000
 
 
 class TestCf:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from mahlercf import kernels
 from mahlercf.recurrence import (
     BETA_ZERO,
     ExtendAfterFailure,
@@ -90,6 +91,22 @@ class TestInit:
     def test_int_inputs_lifted_to_fraction(self):
         run = init_run(2, 3)
         assert isinstance(run.beta(3), Fraction)
+
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2])
+    def test_length_at_most_three_is_the_seeded_run(self, n):
+        for u, v, p in [(2, 3, kernels.Q), (1, 1, kernels.Q), (5, 1, 11), (1, 3, 5)]:
+            seeded, run = RecurrenceRun(u, v, p), RecurrenceRun(u, v, p, n)
+            assert (run.alphas, run.betas, run.failure) == (
+                seeded.alphas, seeded.betas, seeded.failure)
+
+    def test_one_run_per_length(self, monkeypatch):
+        lengths = []
+        run_history = kernels.run_history
+        monkeypatch.setattr(kernels, "run_history",
+                            lambda u, v, p, n: lengths.append(n) or run_history(u, v, p, n))
+        run_over_q(2, 3, 30)
+        run_mod_p(5, 1, 11, 30)
+        assert lengths == [30, 30]
 
 
 class TestExtend:
