@@ -34,12 +34,15 @@ EXIT_MATH_FAILURE = 2
 EXIT_NO_PRECISION = 3
 EXIT_USAGE = 64
 
-# Largest recurrence length and scan horizon: a run keeps its O(n) history,
-# and `recurrence -n 10**6` on a survivor peaks at ~55 MB at p = 11, ~106 MB
-# at p = 10**9 + 7 and ~132 MB at the largest admitted p, the largest prime
-# below PRIMALITY_LIMIT (82 bits), where residues rarely repeat and the
-# run's memo stops at kernels._MAX_STEPS units (peak RSS of a fresh
-# process, the document written as it is encoded).
+# Largest recurrence length and scan horizon. `recurrence` keeps its O(n)
+# history, and `recurrence -n 10**6` on a survivor peaks at ~55 MB at
+# p = 11, ~106 MB at p = 10**9 + 7 and ~132 MB at the largest admitted p,
+# the largest prime below PRIMALITY_LIMIT (82 bits), where residues rarely
+# repeat and the run's memo stops at kernels._MAX_STEPS units (peak RSS of
+# a fresh process, the document written as it is encoded). A scan keeps no
+# history: each survivor reaches the horizon in O(log n) memo lookups
+# (`scan --p-max 30 -N 10**6` takes ~0.4 s), and other pairs die near 2p
+# on average.
 MAX_HORIZON = 10**6
 
 # Largest `verify-lemma -K`: a run keeps its history to index 9K+9.
@@ -302,9 +305,8 @@ def cmd_verify_lemma(args):
     _require_at_most("-K", args.blocks, MAX_BLOCKS)
     _require_prime(args.p)
     reports = [
-        patterns.verify_lemma(s) for s in patterns.specs_for_prime(args.p, args.blocks)
-        if s.lemma == args.lemma
-        and (args.phi is None or s.phi == args.phi % args.p)
+        patterns.verify_lemma(s) for s in patterns.specs_for_prime(args.p, args.blocks, args.lemma)
+        if (args.phi is None or s.phi == args.phi % args.p)
         and (args.delta is None or s.delta == args.delta % args.p)
         and (args.sign is None or s.sign == args.sign)
     ]

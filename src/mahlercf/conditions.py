@@ -46,33 +46,40 @@ class ConditionWitness:
         return (self.u, self.v)
 
 
-def iter_witnesses(p: int) -> Iterator[ConditionWitness]:
-    """Every (case, parameter, sign) combination satisfied at p.
+def iter_witnesses(p: int, case: Optional[str] = None) -> Iterator[ConditionWitness]:
+    """Every (case, parameter, sign) combination satisfied at p, or only
+    those of ``case`` ("C1".."C7"), whose roots alone are then found.
 
     Distinct parameter choices may land on the same residue pair; consumers
     that want sets deduplicate at the pair level.
     """
     check_odd_prime(p)
-    for r in sorted(poly_roots_mod_p([-3, 0, 1], p)):
-        yield ConditionWitness("C1", p, u=r, v=1 % p)
-    for r in sorted(poly_roots_mod_p([3, 0, 1], p)):
-        yield ConditionWitness("C2", p, u=r, v=-1 % p)
-    for phi in sorted(poly_roots_mod_p([1, 1, 1], p)):
-        for s in (1, -1):
-            yield ConditionWitness("C3", p, u=s * phi % p, v=0, phi=phi, sign=s)
-    for phi in sorted(poly_roots_mod_p([1, 0, 4, 0, 1], p)):
-        for s in (1, -1):
-            yield ConditionWitness("C4", p, u=s * phi % p, v=-1 % p, phi=phi, sign=s)
-    for delta in sorted(poly_roots_mod_p([1, -1, 1], p)):
-        for phi in sorted(poly_roots_mod_p([-2 * delta, 0, 1], p)):
+    if case in (None, "C1"):
+        for r in sorted(poly_roots_mod_p([-3, 0, 1], p)):
+            yield ConditionWitness("C1", p, u=r, v=1 % p)
+    if case in (None, "C2"):
+        for r in sorted(poly_roots_mod_p([3, 0, 1], p)):
+            yield ConditionWitness("C2", p, u=r, v=-1 % p)
+    if case in (None, "C3"):
+        for phi in sorted(poly_roots_mod_p([1, 1, 1], p)):
             for s in (1, -1):
-                yield ConditionWitness(
-                    "C5", p, u=s * phi % p, v=delta, phi=phi, delta=delta, sign=s
-                )
-    for delta in sorted(poly_roots_mod_p([1, 1, 1], p)):
-        for s in (1, -1):
-            yield ConditionWitness("C6", p, u=0, v=s * delta % p, delta=delta, sign=s)
-    if p != 3:
+                yield ConditionWitness("C3", p, u=s * phi % p, v=0, phi=phi, sign=s)
+    if case in (None, "C4"):
+        for phi in sorted(poly_roots_mod_p([1, 0, 4, 0, 1], p)):
+            for s in (1, -1):
+                yield ConditionWitness("C4", p, u=s * phi % p, v=-1 % p, phi=phi, sign=s)
+    if case in (None, "C5"):
+        for delta in sorted(poly_roots_mod_p([1, -1, 1], p)):
+            for phi in sorted(poly_roots_mod_p([-2 * delta, 0, 1], p)):
+                for s in (1, -1):
+                    yield ConditionWitness(
+                        "C5", p, u=s * phi % p, v=delta, phi=phi, delta=delta, sign=s
+                    )
+    if case in (None, "C6"):
+        for delta in sorted(poly_roots_mod_p([1, 1, 1], p)):
+            for s in (1, -1):
+                yield ConditionWitness("C6", p, u=0, v=s * delta % p, delta=delta, sign=s)
+    if case in (None, "C7") and p != 3:
         for delta in sorted(poly_roots_mod_p([1, 1, 1], p)):
             for s in (1, -1):
                 yield ConditionWitness(

@@ -1,17 +1,21 @@
 """Hot numeric kernels: the block recurrence over Q and mod p, full F_p^2
 survivor scans, and the integer-grid coverage count.
 
-One engine: every run, over Q or mod p, single or in a scan, is the scalar
-loop ``run_history``. Mod p it works on Python ints, which cannot overflow;
-over Q it is the same loop on Fractions, with the modulus ``Q``, for which
-reducing is the identity and an inverse is 1/x. Its one memo, for one
-call, holds units of the three blocks that read one parent block's
-outputs, nine indices, so a unit met again is one dict lookup. A survivor
-mod p meets few units, the finite 3-kernel of an automatic sequence
-(Allouche & Shallit, *Automatic Sequences*, Thm 6.6.2): over the 222
-condition pairs with p <= 100, at most 15 (median 4) to 10^4 indices and
-at most 23 to 10^6, so its long runs are nearly all lookups. A missed
-block inverts once (Montgomery's simultaneous inversion).
+One engine: every run, over Q or mod p, alone or in a scan, steps its
+blocks through one routine, ``_blocks``: mod p on Python ints, which
+cannot overflow, over Q on Fractions with the modulus ``Q``, for which
+reducing is the identity and an inverse is 1/x. A missed block inverts
+once (Montgomery's simultaneous inversion). Two drivers call it, each with
+a memo for one call. ``run_history`` keeps the history that runs over Q,
+``RecurrenceRun`` and the lemma checks read, and memoises units of nine
+indices. ``first_zero``, which scans and the soundness check call, keeps
+only a tree of memoised items of every scale. A survivor mod p meets few
+of them, the finite 3-kernel of an automatic sequence (Allouche &
+Shallit, *Automatic Sequences*, Thm 6.6.2): over the 222 condition pairs
+with p <= 100, to 10^6 indices, ``first_zero`` misses at most 23 units
+(median 4) and a median of 4 items on each level above, so a survivor
+costs O(log N) lookups, not N / 9.
+
 The coverage count marks each condition pair's lattice in a boolean grid
 with strided slices. numpy is imported only inside the two kernels whose
 product is an array, ``scan_grid`` and ``density_count``; importing this
@@ -27,6 +31,7 @@ same index.
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -51,12 +56,82 @@ def get_backend() -> str:
     return "numpy"
 
 
-# Units (nine indices each) the memo of one run keeps: past this, a run
-# goes on looking up but stores no more. Survivors need two dozen at most,
-# so a run that fills it is one whose units do not repeat, as at a large p,
-# and the bound keeps its memo from adding to the peak of a 10^6-index run
-# (132 -> 179 MB unbounded at the largest admitted prime, fresh process).
+# Memo entries one call keeps: past this, it goes on looking up but stores
+# no more. Survivors need 140 at most, so a call that fills it is one whose
+# units do not repeat, as at a large p, and the bound keeps its memo from
+# adding to the peak of a 10^6-index run (132 -> 179 MB unbounded at the
+# largest admitted prime, fresh process).
 _MAX_STEPS = 1024
+
+
+def _start(u, v, p):
+    """The constants of a run and its indices to 9: the seeds, then blocks 0
+    and 1, which read seed slots 2 and 3.
+
+    Returns (field, alphas, betas, carry): field is (u, v, u^2 - v, uv, -u,
+    p, inverse), and the lists, indexed 1.. (slot 0 unused), end at index 9
+    or at the first zero beta, with carry None.
+    """
+    u %= p
+    v %= p
+    inv = (lambda x: 1 / x) if p is Q else (lambda x: pow(x, -1, p))
+    c = (u * u - v) % p  # beta_2, and beta_{3k+4} + beta_{3k+5} in every block
+    field = u, v, c, u * v, -u % p, p, inv
+    alphas = [0, -u % p]
+    betas = [0, 1, c]
+    if c == 0:
+        return field, alphas, betas, None
+    # alpha_3 and beta_3 by the block's tail rules (``recurrence`` docstring)
+    a2 = u * (u * u + 1 - 2 * v) * inv(c) % p
+    alphas += (a2, (u - a2) % p)
+    betas.append((v - a2 * alphas[3]) % p)
+    if betas[3] == 0:
+        return field, alphas, betas, None
+    a_new, b_new, carry = _blocks((alphas, betas), 2, 4, (a2, c, betas[3]), field)
+    alphas += a_new
+    betas += b_new
+    return field, alphas, betas, carry
+
+
+def _blocks(slots, lo, hi, carry, field):
+    """Step the blocks that read slots lo..hi-1 of one parent's alphas and
+    betas, ``slots[0]`` and ``slots[1]``.
+
+    Block k writes alpha_{3k+4} = -u, beta_{3k+4}, beta_{3k+5},
+    alpha_{3k+5}, alpha_{3k+6} and beta_{3k+6} from its slot alpha_{k+2},
+    beta_{k+2} and the carry alpha_{3k+2}, beta_{3k+2}, beta_{3k+3}.
+    Returns the blocks' alphas and betas as tuples and the next carry, or
+    the tuples to a zero beta, which ends the run, and None. Each block
+    inverts once: with d = beta_{3k+3}
+    beta_{3k+2} and e = (u^2 - v) d - beta_{k+2}, so that beta_{3k+4} =
+    beta_{k+2}/d and beta_{3k+5} = e/d, the inverse t of d e gives
+    beta_{3k+4} = beta_{k+2} e t and 1/beta_{3k+5} = d^2 t (Montgomery's
+    simultaneous inversion).
+    """
+    u, v, c, uv, neg_u, p, inv = field
+    a2, b2, b3 = carry
+    slot_alphas, slot_betas = slots[0], slots[1]
+    alphas = betas = ()
+    for i in range(lo, hi):
+        slot_a = slot_alphas[i]
+        slot_b = slot_betas[i]
+        d = b3 * b2 % p
+        e = (c * d - slot_b) % p
+        if e == 0:  # beta_{3k+5}, so beta_{3k+4} = u^2 - v
+            return alphas + (neg_u,), betas + (c, e), None
+        t = inv(d * e % p)
+        # e t = 1/d and d t = 1/e first: over Q they are the small products
+        b4 = slot_b * (e * t) % p
+        # the next carry: alpha_{3k+5}, beta_{3k+5}, beta_{3k+6}
+        a2 = (u - (slot_a + uv - a2 * b4) * (d * (d * t))) % p
+        a6 = (u - a2) % p
+        b2 = (c - b4) % p
+        b3 = (v - a2 * a6) % p
+        alphas += (neg_u, a2, a6)
+        betas += (b4, b2, b3)
+        if b3 == 0:  # beta_{3k+6}
+            return alphas, betas, None
+    return alphas, betas, (a2, b2, b3)
 
 
 def run_history(u, v, p, n: int):
@@ -68,88 +143,115 @@ def run_history(u, v, p, n: int):
     A zero beta is kept at its index, and alpha_{3k+5} is absent when
     beta_{3k+5} is the zero. Mod p, u and v are ints; over Q, Fractions.
 
-    Block k writes beta_{3k+4}, beta_{3k+5}, alpha_{3k+5}, alpha_{3k+6} and
-    beta_{3k+6} (alpha_{3k+4} is -u) from the cross-scale slot alpha_{k+2},
-    beta_{k+2} and the carry alpha_{3k+2}, beta_{3k+2}, beta_{3k+3}. After
-    blocks 0 and 1, which read the seeds, blocks 3m+2..3m+4 read slots
-    3m+4..3m+6, the outputs of parent block m. The memo of this call keys
-    such a unit on alpha_{3m+5}, beta_{3m+4} and the carry's alpha_{3k+2},
-    beta_{3k+2} (k = 3m+2), which fix the rest: alpha_{3m+6} = u -
-    alpha_{3m+5}, beta_{3m+5} = (u^2 - v) - beta_{3m+4} and every
-    beta_{3j+3} = v - alpha_{3j+2} alpha_{3j+3}. An entry holds the unit's
-    nine alphas, nine betas and the next carry, so a unit met again costs a
-    lookup and two list extends. A miss steps the blocks one at a time, up
-    to a zero beta or the boundary; only whole, zero-free units are stored
-    (at most ``_MAX_STEPS``), and a hit that passes the boundary is cut back
-    to it. A miss inverts once per block: with d = beta_{3k+3} beta_{3k+2}
-    and e = (u^2 - v) d - beta_{k+2}, so that beta_{3k+4} = beta_{k+2}/d and
-    beta_{3k+5} = e/d, the inverse t of d e gives beta_{3k+4} = beta_{k+2}
-    e t and 1/beta_{3k+5} = d^2 t. Where units rarely repeat (a large p, a
-    scan past p ~ 40), a lookup misses: a 10^6-index run at p = 10^9 + 7
-    takes ~5% longer than without it.
+    Block k reads slot k+2, so after blocks 0 and 1, which read the seeds,
+    blocks 3m+2..3m+4 read slots 3m+4..3m+6, the outputs of parent block m.
+    The memo of this call keys such a unit on alpha_{3m+5}, beta_{3m+4} and
+    the carry's alpha_{3k+2}, beta_{3k+2} (k = 3m+2), which fix the rest:
+    alpha_{3m+6} = u - alpha_{3m+5}, beta_{3m+5} = (u^2 - v) - beta_{3m+4}
+    and every beta_{3j+3} = v - alpha_{3j+2} alpha_{3j+3}. An entry holds
+    the unit's nine alphas, nine betas and the next carry, so a unit met
+    again costs a lookup and two list extends. A miss steps the unit's
+    three blocks (``_blocks``); only zero-free units are stored (at most
+    ``_MAX_STEPS``), and a unit that passes the boundary is cut back to it,
+    a zero past the boundary with it. Where units rarely repeat (a large p,
+    a scan past p ~ 40), a lookup misses: a 10^6-index run at p = 10^9 + 7
+    takes ~5% longer than without it. The history is what ``RecurrenceRun``
+    and the lemma checks read; ``first_zero`` keeps none.
     """
-    inv = (lambda x: 1 / x) if p is Q else (lambda x: pow(x, -1, p))
-    u %= p
-    v %= p
-    c = (u * u - v) % p  # beta_2, and beta_{3k+4} + beta_{3k+5} in every block
-    alphas = [0, -u % p]
-    betas = [0, 1, c]
-    if c == 0:
-        return alphas, betas, 2
-    # alpha_3 and beta_3 by the block's tail rules (``recurrence`` docstring)
-    a2 = u * (u * u + 1 - 2 * v) * inv(c) % p
-    alphas += (a2, (u - a2) % p)
-    betas.append((v - a2 * alphas[3]) % p)
-    if betas[3] == 0:
-        return alphas, betas, 3
-    uv = u * v
-    neg_u = -u % p
     end = max(3, n + (-n) % 3)  # the block boundary >= max(n, 3)
-    blocks = end // 3 - 1  # blocks 0..blocks-1 run, block k ending at 3k + 6
+    field, alphas, betas, carry = _start(u, v, p)
     units = {}
-    key = None  # the key of the unit being stepped, stored once it is whole
-    b2, b3 = c, betas[3]  # the carry: alpha, beta at 3k+2; beta at 3k+3
-    k = 0
-    while k < blocks:
-        if k % 3 == 2:  # blocks k..k+2 read slots k+2..k+4: parent (k-2)/3
-            if key is not None and len(units) < _MAX_STEPS:
-                units[key] = alphas[-9:], betas[-9:], a2, b2, b3
-            key = (alphas[k + 3], betas[k + 2], a2, b2)
-            unit = units.get(key)
-            if unit is not None:
-                a_new, b_new, a2, b2, b3 = unit
-                alphas += a_new
-                betas += b_new
-                key = None
-                k += 3
-                continue
-        d = b3 * b2 % p
-        e = (c * d - betas[k + 2]) % p
-        if e == 0:  # beta_{3k+5}, so beta_{3k+4} = u^2 - v
-            alphas.append(neg_u)
-            betas += (c, e)
-            return alphas, betas, 3 * k + 5
-        t = inv(d * e % p)
-        # e t = 1/d and d t = 1/e first: over Q they are the small products
-        b4 = betas[k + 2] * (e * t) % p
-        # the next carry: alpha_{3k+5}, beta_{3k+5}, beta_{3k+6}
-        a2 = (u - (alphas[k + 2] + uv - a2 * b4) * (d * (d * t))) % p
-        a6 = (u - a2) % p
-        b2 = (c - b4) % p
-        b3 = (v - a2 * a6) % p
-        alphas += (neg_u, a2, a6)
-        betas += (b4, b2, b3)
-        if b3 == 0:  # beta_{3k+6}
-            return alphas, betas, 3 * k + 6
-        k += 1
+    m = 0  # the parent block of the next unit
+    while carry is not None and len(betas) <= end:
+        key = (alphas[3 * m + 5], betas[3 * m + 4], carry[0], carry[1])
+        unit = units.get(key)
+        if unit is None:
+            unit = _blocks((alphas, betas), 3 * m + 4, 3 * m + 7, carry, field)
+            if unit[2] is not None and len(units) < _MAX_STEPS:
+                units[key] = unit
+        a_new, b_new, carry = unit
+        alphas += a_new
+        betas += b_new
+        m += 1
+    if carry is None and len(betas) - 1 <= end:
+        return alphas, betas, len(betas) - 1
     del alphas[end + 1:], betas[end + 1:]  # a unit may end past the boundary
     return alphas, betas, 0
 
 
+def _items(run, level, parent, first, start, carry):
+    """The items of ``level`` whose parents are children first..2 of the
+    entry ``parent``, from index ``start`` after ``carry``: their entries,
+    or the answer of ``first_zero`` as an int. ``run`` is the call's
+    (memo, ids, field, max_index)."""
+    memo, ids, field, max_index = run
+    kids = []
+    for i in range(first, 3):
+        if start > max_index:
+            return 0
+        if level == 1:  # the parent is a unit: child i reads its block i
+            slots = parent[2]
+            key = (slots[0][3 * i + 1], slots[1][3 * i], carry[0], carry[1])
+        else:
+            key = (parent[2][i][0], carry[0], carry[1])
+        kid = memo.get(key)
+        if kid is None:
+            if level == 1:
+                children = _blocks(slots, 3 * i, 3 * i + 3, carry, field)
+                after = children[2]
+                if after is None:
+                    index = start + len(children[1]) - 1
+                    return index if index <= max_index else 0
+            else:
+                children = _items(run, level - 1, parent[2][i], 0, start, carry)
+                if isinstance(children, int):
+                    return children
+                after = children[-1][1]
+            kid = (next(ids), after, children)
+            if len(memo) < _MAX_STEPS:
+                memo[key] = kid
+        kids.append(kid)
+        carry = kid[1]
+        start += 3 ** (level + 1)
+    return kids
+
+
 def first_zero(u: int, v: int, p: int, max_index: int) -> int:
-    """Smallest index <= max_index whose beta vanishes mod p, or 0 if none."""
-    _, _, idx = run_history(u, v, p, max_index)
-    return idx if 0 < idx <= max_index else 0
+    """Smallest index <= max_index whose beta vanishes mod p, or 0 if none.
+
+    Keeps no history but a tree of memoised items. The level-L item j is
+    blocks 3^L (j+1) - 1 .. 3^L (j+2) - 2 (at level 1 a unit of
+    ``run_history``), made of the level-(L-1) items 3j+2..3j+4. Their
+    blocks read slots only inside the level-(L-1) item j, its parent, so an
+    item is a function of its parent and of the carry alpha, beta at 3k+2
+    before its first block k. The memo keys a unit as ``run_history`` does
+    and an item above on its parent's id and the carry. An entry is (id,
+    next carry, children): three entries, or for a unit what ``_blocks``
+    returns, its nine alphas, nine betas and carry. The seeds and blocks 0
+    and 1 make the level-1 item -1, and the level-L item -1 is the
+    level-(L-1) items -1, 0 and 1, so the run grows a level at a time, each
+    tripling it. A hit is a zero-free item, passed in one lookup; a miss
+    runs its children in order, so the first zero met is the smallest.
+    Each item's start is checked against max_index before its lookup,
+    since a hit steps no block. Past ``_MAX_STEPS`` entries the memo stores
+    no more, but every item stays in the tree, where a later item reads it
+    as a parent.
+    """
+    field, alphas, betas, carry = _start(u, v, p)
+    if carry is None:
+        index = len(betas) - 1
+        return index if index <= max_index else 0
+    run = {}, itertools.count(), field, max_index
+    root = (None, carry, (alphas[1:], betas[1:]))  # the level-1 item -1
+    level, start = 1, 10
+    while True:
+        kids = _items(run, level, root, 1, start, carry)
+        if isinstance(kids, int):
+            return kids
+        carry = kids[-1][1]
+        root = (None, carry, [root, *kids])
+        start += 2 * 3 ** (level + 1)
+        level += 1
 
 
 def scan_grid(p: int, n: int) -> numpy.ndarray:

@@ -108,9 +108,11 @@ def spec_from_witness(w: ConditionWitness, blocks: int = 100) -> LemmaSpec:
     )
 
 
-def specs_for_prime(p: int, blocks: int = 100) -> list[LemmaSpec]:
-    """One spec per enumerated witness (every root, both signs)."""
-    return [spec_from_witness(w, blocks) for w in iter_witnesses(p)]
+def specs_for_prime(p: int, blocks: int = 100, lemma: Optional[int] = None) -> list[LemmaSpec]:
+    """One spec per enumerated witness (every root, both signs), of every
+    family or of family ``lemma`` alone."""
+    case = None if lemma is None else f"C{lemma}"
+    return [spec_from_witness(w, blocks) for w in iter_witnesses(p, case)]
 
 
 class _Row(NamedTuple):

@@ -28,11 +28,12 @@ beta_{3k+4} is a quotient of earlier betas, all nonzero while the run lives,
 so no step divides by zero.
 
 Indexing is 1-based throughout, mirroring the subscripts above; the step
-3k+4 reads back index k+2, so the full history is kept (O(n) scalars).
-The formulas are stepped in one place, ``kernels.run_history``: over Q in
+3k+4 reads back index k+2, so a run keeps its full history (O(n)
+scalars). The formulas are stepped in one place, ``kernels``: over Q in
 Fractions (plain ints are lifted) and over F_p in int residues. A
-RecurrenceRun is a view of one such run in either arithmetic;
-history_mod_p and first_beta_zero read the int loop directly.
+RecurrenceRun is a view of one ``kernels.run_history`` run in either
+arithmetic, and history_mod_p reads its int lists directly;
+first_beta_zero asks ``kernels.first_zero``, which keeps no history.
 """
 
 from __future__ import annotations

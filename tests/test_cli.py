@@ -110,6 +110,14 @@ PINNED_OUTPUT = {
         "7d5f1b08a088528afbfcd66ec0cd42c7ce92e859919bba6da470409aaf6c9cae", EMPTY),
     "scan-csv": ("scan --p-min 3 --p-max 13 -N 2000 --format csv", EXIT_OK,
         "f011697215ae6971f75834421f3f3628e917f1d0d728d525c373eea5924d89f8", EMPTY),
+    # every survivor to the largest horizon, in O(log N) memo lookups each
+    "scan-deep": ("scan --p-min 3 --p-max 30 -N 1000000", EXIT_OK,
+        "27e06714dd85c1860730cb85b6e3f98cf6fac2cc09faee2e02e5bd9ecb63c957", EMPTY),
+    # (0, 3) and (0, 70) outlive 11755 as extra survivors and die at 11756
+    "scan-late-deaths-alive": ("scan --p-min 73 --p-max 73 -N 11755", EXIT_OK,
+        "d84e50b35bcd94491de0df3e3b02785c6d43dfb23af6a4ee1a6d0bfc14be3b2c", EMPTY),
+    "scan-late-deaths-dead": ("scan --p-min 73 --p-max 73 -N 11756", EXIT_OK,
+        "ce0e917b43b9a2f6a33c3e9337522d2b2bef1b8d892774876d15f66050de0190", EMPTY),
     "scan-horizon": ("scan --p-min 3 --p-max 50 -N 1000001", EXIT_USAGE,
         EMPTY, "2f0a0e29b85c87c5c320c6727b133062e4a9be9efc44fff00b6e01ad8d33165e"),
     "density": ("density -B 12 --primes-max 20", EXIT_OK,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from mahlercf import conditions
 from mahlercf.conditions import (
     check_pair,
     covered,
@@ -119,6 +120,20 @@ class TestSatisfyingPairs:
     def test_witness_validity(self, p):
         for w in iter_witnesses(p):
             assert witness_holds(w), w
+
+    @pytest.mark.parametrize("p", primes_between(3, 200))
+    def test_one_case_finds_only_its_own_roots(self, p, monkeypatch):
+        # verify-lemma enumerates one family: the same witnesses in the same
+        # order as the full enumeration, from the roots of that case alone
+        every = list(iter_witnesses(p))
+        find_roots = conditions.poly_roots_mod_p
+        for n in range(1, 8):
+            asked = []
+            monkeypatch.setattr(conditions, "poly_roots_mod_p",
+                                lambda f, q: asked.append(f) or find_roots(f, q))
+            assert list(iter_witnesses(p, f"C{n}")) == [w for w in every if w.case == f"C{n}"]
+            deltas = len(find_roots([1, -1, 1], p)) if n == 5 else 0
+            assert len(asked) == (0 if (n, p) == (7, 3) else 1 + deltas), (n, asked)
 
     def test_each_case_contributes_few_pairs(self):
         for p in primes_between(3, 100):

@@ -4,13 +4,19 @@ p, ``1 / x`` over Q) and no memo for the memoised kernel over F_p and
 over Q (also survivors to far horizons, where nearly every nine-index unit
 is a memo hit, pairs that die late, and every horizon up to 40, so that the
 boundary falls at every place in a unit), the traced memory of a run at a
-large p, per-pair runs at every u for the scan (which runs half the rows
-and mirrors them across u -> -u), the parity in u that the mirror rests
-on, and a direct membership probe for the coverage count."""
+large p, the history-free ``first_zero`` against the history's first zero
+(at every level's item boundary, on late deaths, within a deadline on
+survivors to 10^6, and in traced memory), per-pair runs at every u for
+the scan (which runs half the rows and mirrors them across u -> -u), the
+parity in u that the mirror rests on, and a direct membership probe for
+the coverage count."""
 
+import contextlib
 import random
+import signal
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -205,6 +211,92 @@ def test_run_at_a_large_prime_holds_little_beyond_its_history():
     assert fail == 0
     held = {id(x): sys.getsizeof(x) for x in alphas + betas}
     assert peak < 1.2 * (sys.getsizeof(alphas) + sys.getsizeof(betas) + sum(held.values()))
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail, instead of hanging, when the body runs past ``seconds``: a
+    driver that skips the horizon check never ends on a survivor."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# every horizon to 8, and 3^L - 2 .. 3^L + 1, so that a level's item
+# boundary, which falls at index 3^(L+1) + 1, lies on both sides of N
+TREE_HORIZONS = sorted({*range(9), *(3 ** e + d for e in range(1, 9) for d in (-2, -1, 0, 1))})
+
+
+class TestFirstZeroTree:
+    """first_zero's tree of memoised items against the history of
+    run_history, whose first zero beta is the answer up to its boundary."""
+
+    @pytest.mark.parametrize("p", primes_between(3, 49))
+    def test_every_pair_at_every_level_boundary(self, p):
+        top = TREE_HORIZONS[-1]
+        with _deadline(30):
+            for u in range(p):
+                for v in range(p):
+                    fail = kernels.run_history(u, v, p, top)[2]
+                    got = [kernels.first_zero(u, v, p, n) for n in TREE_HORIZONS]
+                    assert got == [fail if 0 < fail <= n else 0 for n in TREE_HORIZONS], (u, v)
+
+    @pytest.mark.parametrize("u,v,p,index", [
+        (0, 3, 73, 11756),
+        (0, 70, 73, 11756),
+        (0, 22, 157, 20453),
+        (0, 135, 157, 20453),
+        (22, 0, 157, 10227),
+        (135, 0, 157, 10227),
+    ])
+    def test_late_deaths(self, u, v, p, index):
+        # the pairs that outlive a scan to 10^4 and die later
+        with _deadline(30):
+            assert kernels.first_zero(u, v, p, index - 1) == 0
+            assert kernels.first_zero(u, v, p, index) == index
+        assert kernels.run_history(u, v, p, index)[2] == index
+
+    @pytest.mark.parametrize("u,v,p,index", [(24, 4, 89, 611), (0, 31, 103, 2111)])
+    def test_an_item_above_a_unit_is_keyed_on_its_carry(self, u, v, p, index):
+        # these runs meet an item's parent again after another carry: keyed
+        # on the parent alone, the memo hands back the wrong item (377 and
+        # 2600 instead)
+        with _deadline(30):
+            assert kernels.first_zero(u, v, p, index - 1) == 0
+            assert kernels.first_zero(u, v, p, index) == index
+        assert kernels.run_history(u, v, p, index)[2] == index
+
+    def test_survivors_reach_a_million_in_logarithmic_time(self):
+        pairs = [(u, v, p) for p in primes_between(3, 100) for u, v in conditions.satisfying_pairs(p)]
+        start = time.perf_counter()
+        with _deadline(30):
+            got = [kernels.first_zero(u, v, p, 10**6) for u, v, p in pairs[:40]]
+        elapsed = time.perf_counter() - start
+        assert got == [0] * 40
+        assert elapsed < 1.0
+
+    def test_holds_less_than_the_history_it_does_not_keep(self):
+        # at a large p no item repeats, so every block stays in the tree:
+        # its peak stays within 1.6 times the lists of run_history
+        alphas, betas, _ = kernels.run_history(123456789, 987654321, 2**61 - 1, 50_000)
+        held = {id(x): sys.getsizeof(x) for x in alphas + betas}
+        lists = sys.getsizeof(alphas) + sys.getsizeof(betas) + sum(held.values())
+        del alphas, betas, held
+        tracemalloc.start()
+        try:
+            with _deadline(20):
+                assert kernels.first_zero(123456789, 987654321, 2**61 - 1, 50_000) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * lists
 
 
 def test_history_matches_field_elements():
