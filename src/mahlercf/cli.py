@@ -35,8 +35,8 @@ EXIT_NO_PRECISION = 3
 EXIT_USAGE = 64
 
 # Largest recurrence length and scan horizon. `recurrence` keeps its O(n)
-# history, and `recurrence -n 10**6` on a survivor peaks at ~55 MB at
-# p = 11, ~106 MB at p = 10**9 + 7 and ~132 MB at the largest admitted p,
+# history, and `recurrence -n 10**6` on a survivor peaks at ~47 MB at
+# p = 11, ~98 MB at p = 10**9 + 7 and ~124 MB at the largest admitted p,
 # the largest prime below PRIMALITY_LIMIT (82 bits), where residues rarely
 # repeat and the run's memo stops at kernels._MAX_STEPS units (peak RSS of
 # a fresh process, the document written as it is encoded). A scan keeps no

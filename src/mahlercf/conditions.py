@@ -13,7 +13,9 @@ Case table (p >= 3 prime; phi/delta are roots of the stated polynomials):
     C7  u = +-2 delta^2, v = delta     delta^2 + delta + 1 = 0, p != 3
 
 Every polynomial above is a quadratic in x or in x^2, so its roots are
-square roots mod p (fields.poly_roots_mod_p, by Tonelli-Shanks). Enumeration
+square roots mod p (fields.poly_roots_mod_p, by Tonelli-Shanks). C5's delta
+are the negated roots of x^2 + x + 1, so C3, C5, C6 and C7 share one solve,
+made once per call of iter_witnesses. Enumeration
 (iter_witnesses, from the roots) and decision (check_pair, direct residue
 tests) are two separate code paths; tests/test_conditions.py checks that
 they agree on all of F_p^2 for every prime p < 50. check_pair keeps its
@@ -60,8 +62,10 @@ def iter_witnesses(p: int, case: Optional[str] = None) -> Iterator[ConditionWitn
     if case in (None, "C2"):
         for r in sorted(poly_roots_mod_p([3, 0, 1], p)):
             yield ConditionWitness("C2", p, u=r, v=-1 % p)
+    if case in (None, "C3", "C5", "C6", "C7") and (case, p) != ("C7", 3):
+        omega = sorted(poly_roots_mod_p([1, 1, 1], p))
     if case in (None, "C3"):
-        for phi in sorted(poly_roots_mod_p([1, 1, 1], p)):
+        for phi in omega:
             for s in (1, -1):
                 yield ConditionWitness("C3", p, u=s * phi % p, v=0, phi=phi, sign=s)
     if case in (None, "C4"):
@@ -69,18 +73,18 @@ def iter_witnesses(p: int, case: Optional[str] = None) -> Iterator[ConditionWitn
             for s in (1, -1):
                 yield ConditionWitness("C4", p, u=s * phi % p, v=-1 % p, phi=phi, sign=s)
     if case in (None, "C5"):
-        for delta in sorted(poly_roots_mod_p([1, -1, 1], p)):
+        for delta in sorted(-w % p for w in omega):
             for phi in sorted(poly_roots_mod_p([-2 * delta, 0, 1], p)):
                 for s in (1, -1):
                     yield ConditionWitness(
                         "C5", p, u=s * phi % p, v=delta, phi=phi, delta=delta, sign=s
                     )
     if case in (None, "C6"):
-        for delta in sorted(poly_roots_mod_p([1, 1, 1], p)):
+        for delta in omega:
             for s in (1, -1):
                 yield ConditionWitness("C6", p, u=0, v=s * delta % p, delta=delta, sign=s)
     if case in (None, "C7") and p != 3:
-        for delta in sorted(poly_roots_mod_p([1, 1, 1], p)):
+        for delta in omega:
             for s in (1, -1):
                 yield ConditionWitness(
                     "C7", p, u=s * 2 * delta * delta % p, v=delta, delta=delta, sign=s

@@ -59,7 +59,7 @@ def get_backend() -> str:
 # Memo entries one call keeps: past this, it goes on looking up but stores
 # no more. Survivors need 140 at most, so a call that fills it is one whose
 # units do not repeat, as at a large p, and the bound keeps its memo from
-# adding to the peak of a 10^6-index run (132 -> 179 MB unbounded at the
+# adding to the peak of a 10^6-index run (124 -> 170 MB unbounded at the
 # largest admitted prime, fresh process).
 _MAX_STEPS = 1024
 
@@ -234,8 +234,9 @@ def first_zero(u: int, v: int, p: int, max_index: int) -> int:
     runs its children in order, so the first zero met is the smallest.
     Each item's start is checked against max_index before its lookup,
     since a hit steps no block. Past ``_MAX_STEPS`` entries the memo stores
-    no more, but every item stays in the tree, where a later item reads it
-    as a parent.
+    no more, but an item stays in the tree while a later item may read it
+    as a parent. Once the level-L items 0 and 1 are made, no item reads the
+    level-L item -1 again, so the next root holds None in its place.
     """
     field, alphas, betas, carry = _start(u, v, p)
     if carry is None:
@@ -249,7 +250,7 @@ def first_zero(u: int, v: int, p: int, max_index: int) -> int:
         if isinstance(kids, int):
             return kids
         carry = kids[-1][1]
-        root = (None, carry, [root, *kids])
+        root = (None, carry, [None, *kids])
         start += 2 * 3 ** (level + 1)
         level += 1
 

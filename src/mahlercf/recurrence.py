@@ -109,7 +109,8 @@ class RecurrenceRun:
             )
         if len(self.betas) < target_len:
             alphas, betas, idx = kernels.run_history(self.u, self.v, self.p, target_len)
-            self.alphas, self.betas = tuple(alphas[1:]), tuple(betas[1:])
+            del alphas[0], betas[0]  # the unused slot 0, in place: a slice copies
+            self.alphas, self.betas = tuple(alphas), tuple(betas)
             self.failure = Failure(idx, BETA_ZERO) if idx else None
         return self
 

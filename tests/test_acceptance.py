@@ -5,8 +5,11 @@ pass lines. All arithmetic below is exact; "tolerance" only ever means an
 interval stated up front, never a float fudge.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from mahlercf.conditions import covered_up_to, satisfying_pairs
 from mahlercf.fields import primes_between
@@ -99,6 +102,21 @@ def test_criterion_4_condition_soundness():
             assert first_beta_zero(u, v, p, 10_000) is None, (u, v, p)
             checked += 1
     _report("4 condition soundness", f"{checked} pairs, horizon 10^4, zero deaths")
+
+
+def test_criterion_4_results_keep_the_benchmark_order(monkeypatch):
+    """The benchmark's soundness job lists [p, u, v, first zero] in the key
+    order of satisfying_pairs(p) and pins the list's sha256
+    (perfbench/checks.py, read here, not changed), so a reordered
+    enumeration fails here before it fails the benchmark."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import checks
+
+    results = [[p, u, v, first_beta_zero(u, v, p, 10_000)]
+               for p in primes_between(3, 100) for (u, v) in satisfying_pairs(p)]
+    assert len(results) == 222
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == checks.DIGESTS["soundness"]
 
 
 def test_criterion_5_scan_replication():

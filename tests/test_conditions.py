@@ -124,16 +124,22 @@ class TestSatisfyingPairs:
     @pytest.mark.parametrize("p", primes_between(3, 200))
     def test_one_case_finds_only_its_own_roots(self, p, monkeypatch):
         # verify-lemma enumerates one family: the same witnesses in the same
-        # order as the full enumeration, from the roots of that case alone
-        every = list(iter_witnesses(p))
+        # order as the full enumeration, from the roots of that case alone;
+        # the full enumeration solves x^2 + x + 1 once, for C3, C5, C6 and
+        # C7, and x^2 - x + 1 never
         find_roots = conditions.poly_roots_mod_p
+        asked = []
+        monkeypatch.setattr(conditions, "poly_roots_mod_p",
+                            lambda f, q: asked.append(f) or find_roots(f, q))
+        every = list(iter_witnesses(p))
+        deltas = len(find_roots([1, -1, 1], p))
+        assert asked.count([1, 1, 1]) == 1 and [1, -1, 1] not in asked, asked
+        assert len(asked) == 4 + deltas, asked
         for n in range(1, 8):
-            asked = []
-            monkeypatch.setattr(conditions, "poly_roots_mod_p",
-                                lambda f, q: asked.append(f) or find_roots(f, q))
+            asked.clear()
             assert list(iter_witnesses(p, f"C{n}")) == [w for w in every if w.case == f"C{n}"]
-            deltas = len(find_roots([1, -1, 1], p)) if n == 5 else 0
-            assert len(asked) == (0 if (n, p) == (7, 3) else 1 + deltas), (n, asked)
+            own = 1 + (deltas if n == 5 else 0)
+            assert len(asked) == (0 if (n, p) == (7, 3) else own), (n, asked)
 
     def test_each_case_contributes_few_pairs(self):
         for p in primes_between(3, 100):
