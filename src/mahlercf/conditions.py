@@ -12,10 +12,13 @@ Case table (p >= 3 prime; phi/delta are roots of the stated polynomials):
     C6  u = 0,          v = +-delta    delta^2 + delta + 1 = 0
     C7  u = +-2 delta^2, v = delta     delta^2 + delta + 1 = 0, p != 3
 
-Every polynomial above is a quadratic in x or in x^2, so its roots are
-square roots mod p (fields.poly_roots_mod_p, by Tonelli-Shanks). C5's delta
-are the negated roots of x^2 + x + 1, so C3, C5, C6 and C7 share one solve,
-made once per call of iter_witnesses. Enumeration
+Every case reads one of two root sets, each solved once per call of
+iter_witnesses (fields.poly_roots_mod_p, square roots by Tonelli-Shanks):
+r^2 = 3 for C1 and C4, omega^2 + omega + 1 = 0 for the other five. C2's
+u = 2 omega + 1, since (2 omega + 1)^2 = -3; C4's phi^2 = r - 2, since
+phi^4 + 4 phi^2 + 1 = (phi^2 + 2)^2 - 3; C5's delta = -omega, and its
+phi^2 = 2 delta. C4 and C5 then solve one quadratic in phi per r or delta;
+C3, C6 and C7 take omega as it is. Enumeration
 (iter_witnesses, from the roots) and decision (check_pair, direct residue
 tests) are two separate code paths; tests/test_conditions.py checks that
 they agree on all of F_p^2 for every prime p < 50. check_pair keeps its
@@ -56,20 +59,22 @@ def iter_witnesses(p: int, case: Optional[str] = None) -> Iterator[ConditionWitn
     that want sets deduplicate at the pair level.
     """
     check_odd_prime(p)
+    if case in (None, "C1", "C4"):
+        root3 = sorted(poly_roots_mod_p([-3, 0, 1], p))
+    if case in (None, "C2", "C3", "C5", "C6", "C7") and (case, p) != ("C7", 3):
+        omega = sorted(poly_roots_mod_p([1, 1, 1], p))
     if case in (None, "C1"):
-        for r in sorted(poly_roots_mod_p([-3, 0, 1], p)):
+        for r in root3:
             yield ConditionWitness("C1", p, u=r, v=1 % p)
     if case in (None, "C2"):
-        for r in sorted(poly_roots_mod_p([3, 0, 1], p)):
+        for r in sorted((2 * w + 1) % p for w in omega):
             yield ConditionWitness("C2", p, u=r, v=-1 % p)
-    if case in (None, "C3", "C5", "C6", "C7") and (case, p) != ("C7", 3):
-        omega = sorted(poly_roots_mod_p([1, 1, 1], p))
     if case in (None, "C3"):
         for phi in omega:
             for s in (1, -1):
                 yield ConditionWitness("C3", p, u=s * phi % p, v=0, phi=phi, sign=s)
     if case in (None, "C4"):
-        for phi in sorted(poly_roots_mod_p([1, 0, 4, 0, 1], p)):
+        for phi in sorted(x for r in root3 for x in poly_roots_mod_p([2 - r, 0, 1], p)):
             for s in (1, -1):
                 yield ConditionWitness("C4", p, u=s * phi % p, v=-1 % p, phi=phi, sign=s)
     if case in (None, "C5"):

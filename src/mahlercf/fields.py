@@ -5,8 +5,8 @@ denominator); every exact run works in them. Mod-p work has no scalar type
 of its own: the kernels step plain int residues. This module supplies what
 they share: primality, the odd-prime check, a prime sieve and root finding
 mod p. Primality is a deterministic Miller-Rabin test below a fixed limit.
-Root finding is by formula: every polynomial of the case table is a
-quadratic in x or in x^2, so its roots are square roots mod p, found by
+Root finding solves polynomials of degree <= 2 by formula: a quadratic's
+roots come from the square roots of its discriminant, found by
 Tonelli-Shanks in O(log^2 p) multiplications.
 """
 
@@ -117,8 +117,22 @@ def _square_roots(a: int, p: int) -> set[int]:
     return {r, p - r}
 
 
-def _quadratic_roots(c: list[int], p: int) -> set[int]:
-    """Roots mod p of c[0] + c[1] x (+ c[2] x^2), leading coefficient nonzero."""
+def poly_roots_mod_p(coeffs, p: int) -> set[int]:
+    """All x in [0, p) with sum(coeffs[i] * x^i) == 0 mod p, by formula.
+
+    coeffs are integers, ascending by degree. After reduction mod p the
+    polynomial must be nonzero of degree <= 2; anything else, the zero
+    polynomial included, raises ValueError. A quadratic is solved by the
+    square roots of its discriminant. p must be an odd prime.
+    """
+    check_odd_prime(p)
+    c = [x % p for x in coeffs]
+    while c and c[-1] == 0:
+        c.pop()
+    if not c:
+        raise ValueError(f"{list(coeffs)} is the zero polynomial mod {p}")
+    if len(c) > 3:
+        raise ValueError(f"degree {len(c) - 1} > 2 not supported")
     if len(c) == 1:
         return set()
     if len(c) == 2:
@@ -126,28 +140,3 @@ def _quadratic_roots(c: list[int], p: int) -> set[int]:
     c0, c1, c2 = c
     inv = pow(2 * c2, -1, p)
     return {(r - c1) * inv % p for r in _square_roots(c1 * c1 - 4 * c0 * c2, p)}
-
-
-def poly_roots_mod_p(coeffs, p: int) -> set[int]:
-    """All x in [0, p) with sum(coeffs[i] * x^i) == 0 mod p, by formula.
-
-    coeffs are integers, ascending by degree. After reduction mod p the
-    polynomial must be a nonzero quadratic in x or in x^2 (degree <= 2, or
-    an even quartic), the only shapes of the case table; anything else,
-    the zero polynomial included, raises ValueError. A quadratic is solved
-    by its discriminant's square roots, an even quartic as a quadratic in
-    y = x^2 followed by the square roots of each y. p must be an odd prime.
-    """
-    check_odd_prime(p)
-    reduced = [c % p for c in coeffs]
-    while reduced and reduced[-1] == 0:
-        reduced.pop()
-    if not reduced:
-        raise ValueError(f"{list(coeffs)} is the zero polynomial mod {p}")
-    if len(reduced) - 1 > 4:
-        raise ValueError(f"degree {len(reduced) - 1} > 4 not supported")
-    if len(reduced) <= 3:
-        return _quadratic_roots(reduced, p)
-    if len(reduced) == 4 or any(reduced[1::2]):
-        raise ValueError(f"{reduced} mod {p} is not a quadratic in x or in x^2")
-    return {x for y in _quadratic_roots(reduced[::2], p) for x in _square_roots(y, p)}

@@ -118,11 +118,6 @@ class Polynomial:
         return "Polynomial(" + " + ".join(reversed(terms)) + ")"
 
 
-def linear(alpha) -> Polynomial:
-    """The monic linear polynomial z + alpha."""
-    return Polynomial([as_scalar(alpha), Fraction(1)])
-
-
 class LaurentSeries:
     """Coefficients for degrees top_degree down to floor, all exact.
 

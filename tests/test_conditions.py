@@ -10,7 +10,7 @@ from mahlercf.conditions import (
     iter_witnesses,
     satisfying_pairs,
 )
-from mahlercf.fields import primes_between
+from mahlercf.fields import poly_roots_mod_p, primes_between
 from mahlercf.recurrence import first_beta_zero
 
 # hand-enumerated condition sets for small primes
@@ -124,22 +124,58 @@ class TestSatisfyingPairs:
     @pytest.mark.parametrize("p", primes_between(3, 200))
     def test_one_case_finds_only_its_own_roots(self, p, monkeypatch):
         # verify-lemma enumerates one family: the same witnesses in the same
-        # order as the full enumeration, from the roots of that case alone;
-        # the full enumeration solves x^2 + x + 1 once, for C3, C5, C6 and
-        # C7, and x^2 - x + 1 never
+        # order as the full enumeration, from the roots of that case alone.
+        # The full enumeration solves x^2 - 3 (C1, C4) and x^2 + x + 1 (C2,
+        # C3, C5, C6, C7) once each, then only the quadratics phi^2 = r - 2
+        # of C4 and phi^2 = 2 delta of C5; calls are counted, not distinct
+        # polynomials (at p = 11, C4's 5 - 2 = 3 asks for x^2 - 3 again)
         find_roots = conditions.poly_roots_mod_p
         asked = []
         monkeypatch.setattr(conditions, "poly_roots_mod_p",
                             lambda f, q: asked.append(f) or find_roots(f, q))
         every = list(iter_witnesses(p))
+        roots3 = len(find_roots([-3, 0, 1], p))
         deltas = len(find_roots([1, -1, 1], p))
-        assert asked.count([1, 1, 1]) == 1 and [1, -1, 1] not in asked, asked
-        assert len(asked) == 4 + deltas, asked
+        assert asked[:2] == [[-3, 0, 1], [1, 1, 1]], asked
+        assert len(asked) == 2 + roots3 + deltas, asked
+        assert all(len(f) == 3 and f[2] == 1 for f in asked), asked
+        assert not {(3, 0, 1), (1, -1, 1), (1, 0, 4, 0, 1)} & set(map(tuple, asked)), asked
         for n in range(1, 8):
             asked.clear()
             assert list(iter_witnesses(p, f"C{n}")) == [w for w in every if w.case == f"C{n}"]
-            own = 1 + (deltas if n == 5 else 0)
+            own = 1 + {4: roots3, 5: deltas}.get(n, 0)
             assert len(asked) == (0 if (n, p) == (7, 3) else own), (n, asked)
+
+    # 257 and 65537 have p - 1 a power of two
+    @pytest.mark.parametrize("p", primes_between(3, 100) + [257, 65537])
+    def test_c2_and_c4_roots_solve_their_polynomials(self, p):
+        # C2's u = 2 omega + 1 and C4's phi^2 = r - 2 (r^2 = 3) are found
+        # from other quadratics; direct evaluation at every residue checks
+        # them against u^2 = -3 and phi^4 + 4 phi^2 + 1 = 0
+        assert {w.u for w in iter_witnesses(p, "C2")} == {
+            x for x in range(p) if (x * x + 3) % p == 0
+        }
+        assert {w.phi for w in iter_witnesses(p, "C4")} == {
+            x for x in range(p) if (x**4 + 4 * x * x + 1) % p == 0
+        }
+
+    def test_c2_and_c4_roots_at_a_large_two_adic_prime(self):
+        # p - 1 = 3 * 2^18: the roots are checked and counted by Euler's
+        # criterion, not by scanning F_p. x^2 = -3 has 1 + (-3 / p) roots,
+        # the quartic 1 + (y / p) over each root y = r - 2 of y^2 + 4y + 1
+        p = 786433
+
+        def legendre(a):
+            return 0 if a % p == 0 else 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+        us = {w.u for w in iter_witnesses(p, "C2")}
+        assert all((u * u + 3) % p == 0 for u in us)
+        assert len(us) == 1 + legendre(-3)
+        phis = {w.phi for w in iter_witnesses(p, "C4")}
+        assert all((f**4 + 4 * f * f + 1) % p == 0 for f in phis)
+        roots3 = poly_roots_mod_p([-3, 0, 1], p)
+        assert all(r * r % p == 3 for r in roots3) and len(roots3) == 1 + legendre(3)
+        assert len(phis) == sum(1 + legendre(r - 2) for r in roots3)
 
     def test_each_case_contributes_few_pairs(self):
         for p in primes_between(3, 100):

@@ -78,9 +78,10 @@ def legendre(a, p):
     return 0 if a == 0 else 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-# the condition polynomials x^2 - 3, x^2 + 3, x^2 + x + 1, x^2 - x + 1 and
-# x^4 + 4x^2 + 1, then the C5 polynomials x^2 - 2 delta
-CASE_POLYNOMIALS = [[-3, 0, 1], [3, 0, 1], [1, 1, 1], [1, -1, 1], [1, 0, 4, 0, 1]] + [
+# the quadratics x^2 - 3, x^2 + 3, x^2 + x + 1, x^2 - x + 1, then
+# 5x^2 + 3x + 2 (every coefficient nonzero and a leading one that is not 1;
+# discriminant -31, a double root mod 31), then the C5 polynomials x^2 - 2 delta
+CASE_POLYNOMIALS = [[-3, 0, 1], [3, 0, 1], [1, 1, 1], [1, -1, 1], [2, 3, 5]] + [
     [-2 * delta, 0, 1] for delta in (-1, 1, 2, 3, 7, 24, 49)
 ]
 
@@ -105,27 +106,17 @@ class TestPolyRoots:
         # p - 1 = 3 * 2^18: the roots are checked and counted by Euler's
         # criterion, not by scanning F_p
         p = 786433
-
-        def count(c):
-            if len(c) == 3:  # a quadratic has 1 + (disc / p) roots
-                return 1 + legendre(c[1] ** 2 - 4 * c[0] * c[2], p)
-            # an even quartic: 1 + (y / p) roots over each root y of its
-            # quadratic in y = x^2
-            ys = poly_roots_mod_p(c[::2], p)
-            assert len(ys) == count(c[::2])
-            return sum(1 + legendre(y, p) for y in ys)
-
+        c0, c1, c2 = coeffs
         roots = poly_roots_mod_p(coeffs, p)
         assert all(evaluate(coeffs, x, p) == 0 for x in roots)
-        assert len(roots) == count(coeffs)
+        assert len(roots) == 1 + legendre(c1 * c1 - 4 * c0 * c2, p)
 
     def test_double_roots(self):
         # x^2 + x + 1 = (x - 1)^2 mod 3, the one prime where C3's phi is double
         assert poly_roots_mod_p([1, 1, 1], 3) == {1}
         assert poly_roots_mod_p([1, 2, 1], 7) == {6}  # (x + 1)^2
         assert poly_roots_mod_p([0, 0, 5], 7) == {0}
-        assert poly_roots_mod_p([0, 0, 0, 0, 1], 13) == {0}  # y = 0 is a double y-root
-        assert poly_roots_mod_p([4, 0, 4, 0, 1], 11) == {3, 8}  # (x^2 + 2)^2, -2 = 3^2
+        assert poly_roots_mod_p([2, 3, 5], 31) == {9}  # 5 (x - 9)^2
 
     def test_linear_and_constant(self):
         assert poly_roots_mod_p([3, 2], 7) == {2}
@@ -143,15 +134,13 @@ class TestPolyRoots:
 
     @pytest.mark.parametrize("coeffs", [[1, 0, 0, 1], [0, 1, 0, 0, 1], [1, 0, 1, 1, 1]])
     def test_not_quadratic_in_x_or_x2(self, coeffs):
-        # x^3 + 1, x^4 + x, x^4 + x^3 + x^2 + 1
-        with pytest.raises(ValueError, match="not a quadratic in x or in x\\^2"):
+        # x^3 + 1, x^4 + x, x^4 + x^3 + x^2 + 1: only quadratics are solved
+        with pytest.raises(ValueError, match="degree [34] > 2 not supported"):
             poly_roots_mod_p(coeffs, 7)
 
-    def test_odd_part_vanishing_mod_p_is_accepted(self):
-        # x^4 + 7x + 4 is x^4 + 4 mod 7, an even quartic there
-        assert poly_roots_mod_p([4, 7, 0, 0, 1], 7) == {
-            x for x in range(7) if (x**4 + 4) % 7 == 0
-        }
+    def test_high_terms_vanishing_mod_p_is_accepted(self):
+        # 7x^4 + 14x^3 + x^2 + 3 is x^2 + 3 mod 7, a quadratic there
+        assert poly_roots_mod_p([3, 0, 1, 14, 7], 7) == {2, 5}
 
     @pytest.mark.parametrize("p", [2, 9])
     def test_modulus_refused(self, p):
