@@ -50,9 +50,9 @@ MAX_BLOCKS = (MAX_HORIZON - 9) // 9
 
 # Largest expansion depth of `cf` and `mu`, the default cap of `-n 101`.
 # It bounds memory, not time: on (1, -2), which doubles its depth to the
-# cap, expand_g to 13184 takes ~0.03 s, but the extraction had certified 82
-# quotients at ~39 MB after 200 s and was still running at 240 s (peak RSS
-# of a fresh process); its remainder coefficients grow with every quotient.
+# cap, expand_g to 13184 takes ~0.03 s, but `cf -u=1 -v=-2 -n 6590` runs
+# ~820 s at ~40 MB peak RSS before the extraction exhausts that depth
+# (2-core box, Python 3.11); its remainder integers grow with every quotient.
 MAX_DEPTH = 64 * 206
 
 # Largest `--primes-max` of `check` and `density`: condition_tables(10**6)

@@ -12,16 +12,21 @@ The classical expansion  f = b_0 + 1/(b_1 + 1/(b_2 + ...))  comes from a
 remainder sequence, with no series inversion: s_-1 = 1, s_0 = f - b_0,
 b_k+1 = polynomial part of s_k-1 / s_k, s_k+1 = s_k-1 - b_k+1 s_k, exact
 down to floor s_k + deg b_k+1 (floors never fall). Inside cf_extract a
-remainder is a plain coefficient list, and one loop over the entries of
-s_k-1 does both the long division (the first deg b_k+1 + 1 entries give
-b_k+1) and the subtraction (the rest are s_k+1). A quotient is emitted only
-when the coefficients its long division reads lie at or above the floors;
-below them it could change with a deeper expansion. A quotient of degree d
-costs O(depth * d), so n linear ones cost O(n * depth). The expansion is renormalised to constant numerators over
-monic quotients via the equivalence transform a_i = b_i/lam_i,
-beta_1 = 1/lam_1, beta_i = 1/(lam_{i-1} lam_i) for i >= 2, where lam_i is
-the leading coefficient of b_i. The transform is validated by the
-oracle-equivalence tests, not trusted a priori.
+remainder is fraction-free: a primitive list of Python ints, one per
+degree, times one rational scale (Brown's primitive remainder sequence).
+The first deg b_k+1 + 1 entries of s_k-1 give b_k+1 by long division, the
+rest give s_k+1 by integer products alone, and the gcd of s_k+1's list goes
+into its scale. A quotient is emitted only when the coefficients its long
+division reads lie at or above the floors; below them it could change with
+a deeper expansion. A quotient of degree d costs O(depth * d) integer
+operations, so n linear ones cost O(n * depth), on integers that still
+grow with the quotients. The expansion is renormalised to constant
+numerators over monic quotients via the equivalence transform
+a_i = b_i/lam_i, beta_1 = 1/lam_1, beta_i = 1/(lam_{i-1} lam_i) for i >= 2,
+where lam_i is the leading coefficient of b_i; beta_i needs only the ratio
+of consecutive scales, so cf_extract never forms a scale itself. The
+transform is validated by the oracle-equivalence tests, not trusted a
+priori.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd, lcm
 
 from .fields import as_scalar
 
@@ -241,6 +247,11 @@ def cf_extract(g: LaurentSeries, max_terms: int) -> CFExpansion:
     next quotient is not fully determined by exact coefficients, at the point
     and with the message of inverting each remainder s_k / s_k-1 (whose
     relative precision is that of s_k); it never returns unreliable terms.
+
+    Each remainder is a primitive list of ints times one rational scale
+    (Brown's primitive remainder sequence, J. ACM 18, 1971): a step is
+    integer products and one gcd, and only the quotient's coefficients and
+    beta become Fractions.
     """
     if g.is_zero_to_floor():
         raise InsufficientDepth("series is zero to its floor; nothing to expand")
@@ -249,34 +260,50 @@ def cf_extract(g: LaurentSeries, max_terms: int) -> CFExpansion:
     # of the remainder before it, down to its floor. Floors never fall, so a
     # quotient's degree is one more than the leading zeros of the remainder,
     # and only the remainder's own floor limits the long division.
-    prev = [Fraction(1)] + [Fraction(0)] * -g.floor  # s_-1 = 1
-    cur = [g.coeff(d) for d in range(-1, g.floor - 1, -1)]  # s_0 = g - a0
+    frac = [g.coeff(d) for d in range(-1, g.floor - 1, -1)]  # s_0 = g - a0
+    den = lcm(*(c.denominator for c in frac))
+    cur = [c.numerator * (den // c.denominator) for c in frac]
+    num = gcd(*cur)  # s_0 = (num / den) * cur
+    if num > 1:
+        cur = [c // num for c in cur]
+    prev = [1] + [0] * -g.floor  # s_-1 = 1
     pairs = []
-    lam_prev = 1  # beta_1 = 1/lam_1
     for _ in range(max_terms):
-        lead = next((j for j, c in enumerate(cur) if c != 0), None)
+        lead = next((j for j, c in enumerate(cur) if c), None)
         if lead is None:
             raise InsufficientDepth(
                 "cannot invert a series that is zero to its floor", CFExpansion(a0, pairs)
             )
         cur, deg = cur[lead:], lead + 1
         # long division reads cur down to deg degrees below its valuation
-        if len(cur) <= deg:
+        n = len(cur)
+        if n <= deg:
             raise InsufficientDepth("floor above degree 0: polynomial part not certified")
-        # entry t of prev minus (q * cur) at the same degree; q[i] is the
-        # coefficient of z^(deg - i), and the entries past deg are s_k+1
-        q, rest = [], []
-        for t in range(len(cur)):
-            acc = prev[t]
-            for i in range(min(t, deg + 1)):
-                acc = acc - q[i] * cur[t - i]
-            if t <= deg:
-                q.append(acc / cur[0])
-            else:
-                rest.append(acc)
-        b = Polynomial(reversed(q))
-        pairs.append((1 / (lam_prev * b.leading), b.monic()))
-        lam_prev = b.leading
+        # With s_k-1 = sp * prev and s_k = sc * cur, the coefficient of
+        # z^(deg - i) in b_k+1 is (sp / sc) * q[i] / c0^(i + 1) with q[i] an
+        # int, and s_k+1 = (sp / c0^(deg + 1)) * rest, where entry t of rest
+        # is c0^(deg + 1) prev[t] - sum_i c0^(deg - i) q[i] cur[t - i]
+        c0 = cur[0]
+        q = []
+        for t in range(deg + 1):
+            acc = c0**t * prev[t]
+            for i in range(t):
+                acc -= c0 ** (t - i - 1) * q[i] * cur[t - i]
+            q.append(acc)
+        rest = [c0 ** (deg + 1) * x for x in prev[deg + 1:n]]
+        for i, qi in enumerate(q):
+            w = c0 ** (deg - i) * qi
+            rest = [r - w * x for r, x in zip(rest, cur[deg + 1 - i:n - i])]
+        content = gcd(*rest)
+        if content > 1:
+            rest = [r // content for r in rest]
+        # beta_k+1 = 1 / (lam_k lam_k+1), lam the leading coefficient of b:
+        # the scales cancel to num * c0 / (den * q[0]), where the step before
+        # set num to the gcd it took out of s_k and den to its c0^deg * q[0];
+        # before the first step num / den is s_0's scale, so beta_1 = 1 / lam_1
+        monic = [Fraction(qi, q[0] * c0**i) for i, qi in enumerate(q)]
+        pairs.append((Fraction(num * c0, den * q[0]), Polynomial(reversed(monic))))
+        num, den = content, c0**deg * q[0]
         prev, cur = cur, rest
     return CFExpansion(a0, pairs)
 

@@ -1,6 +1,8 @@
 """Series expansion, polynomial arithmetic, the extraction oracle, and the
 exponent estimate."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -156,6 +158,28 @@ class TestExtract:
         with pytest.raises(InsufficientDepth):
             cf_extract(expand_g(2, 3, 6), 20)
 
+    @pytest.mark.parametrize("u, v, n, chain", [
+        (2, 4, 10, [(1, 2), (3, 4), (7, 2), (9, 10), (19, 2), (21, 4), (25, 2), (27, 28), (55, 2)]),
+        (1, -2, 28, [(2, 3), (6, 7), (18, 19)]),
+        (2, 1, 37, [(5, 3), (15, 7)]),
+    ])
+    def test_degree_chains_at_depth_120(self, u, v, n, chain):
+        # (denominator degree s, quotient degree d) of every quotient with
+        # d >= 2 among the n that depth 120 certifies; each chain steps
+        # (s, d) -> (3s, 3d - 2)
+        g = expand_g(u, v, 120)
+        cf = cf_extract(g, n)
+        degrees = convergent_denominator_degrees(cf)
+        assert [(s, a.degree) for s, (_, a) in zip(degrees, cf.pairs) if a.degree >= 2] == chain
+        with pytest.raises(InsufficientDepth):
+            cf_extract(g, n + 1)
+
+    def test_deep_golden(self):
+        doc = json.dumps(cf_extract(expand_g(2, 3, 404), 200).to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "dc2302b8d70a66af6454f40e4f265388590a0e047ea5a03c8ceb46a64ef12dd6"
+        )
+
 
 class TestAgainstInversionReference:
     """cf_extract and the inversion reference certify exactly the same terms."""
@@ -184,7 +208,8 @@ class TestAgainstInversionReference:
     def test_rational_pairs(self, depth):
         pairs = [(1, 1), (0, 0), (2, 4), (-3, 9), (Fraction(1, 2), Fraction(1, 4)),
                  (2, 3), (5, 1), (Fraction(-3, 2), 2), (Fraction(7, 3), Fraction(-1, 5)),
-                 (Fraction(1, 2), 3), (-4, -7), (3, 0), (0, -2)]
+                 (Fraction(1, 2), 3), (-4, -7), (3, 0), (0, -2),
+                 (Fraction(7, 1024), Fraction(-5, 729))]
         for u, v in pairs:
             self.assert_same_certification(expand_g(u, v, depth), depth)
 
@@ -307,8 +332,6 @@ class TestResidualValuation:
 
 class TestJsonSerialization:
     def test_cf_round_trip_exact(self):
-        import json
-
         cf = cf_extract(expand_g(Fraction(1, 2), 3, 24), 6)
         doc = json.loads(json.dumps(cf.to_json_dict()))
         assert [Fraction(t["beta"]) for t in doc["terms"]] == [b for b, _ in cf.pairs]
