@@ -40,9 +40,10 @@ EXIT_USAGE = 64
 # the largest prime below PRIMALITY_LIMIT (82 bits), where residues rarely
 # repeat and the run's memo stops at kernels._MAX_STEPS units (peak RSS of
 # a fresh process, the document written as it is encoded). A scan keeps no
-# history: each survivor reaches the horizon in O(log n) memo lookups
-# (`scan --p-max 30 -N 10**6` takes ~0.4 s), and other pairs die near 2p
-# on average.
+# history: other pairs die near 2p on average, most in its memo-free probe
+# to index 729, and each survivor reaches the horizon in O(log n) memo
+# lookups (`scan --p-min 3 --p-max 30 -N 10**6` takes ~0.4 s, 0.34-0.43 s
+# in a fresh process).
 MAX_HORIZON = 10**6
 
 # Largest `verify-lemma -K`: a run keeps its history to index 9K+9.
@@ -151,12 +152,12 @@ def _history(u, v, p, n: int):
 
     Over Q the run grows through 729, 2187, 6561, ... indices below n and
     each prefix is printed, so a value past Python's int-to-str digit limit
-    is refused soon after it appears, not after the whole run; the probes
-    cost a run that stays printable at most 1.5 times its own length.
+    is refused soon after it appears, not after the whole run; each growth
+    resumes the run, so the probes step no index twice.
     """
     m = n if p else min(n, 729)
+    run = recurrence.run_mod_p(u, v, p, m) if p else recurrence.run_over_q(u, v, m)
     while True:
-        run = recurrence.run_mod_p(u, v, p, m) if p else recurrence.run_over_q(u, v, m)
         alphas, betas = run.alphas[:n], run.betas[:n]
         if not p:  # rationals print as exact 'num/den' strings
             try:
@@ -166,6 +167,7 @@ def _history(u, v, p, n: int):
         if m == n or not run.ok:
             break
         m = min(3 * m, n)
+        run.extend(m)
     status = "ok" if run.ok else {"failed_at": run.failure.index, "cause": run.failure.cause}
     return run, {"alphas": alphas, "betas": betas, "status": status}
 

@@ -4,17 +4,28 @@ survivor scans, and the integer-grid coverage count.
 One engine: every run, over Q or mod p, alone or in a scan, steps its
 blocks through one routine, ``_blocks``: mod p on Python ints, which
 cannot overflow, over Q on Fractions with the modulus ``Q``, for which
-reducing is the identity and an inverse is 1/x. A missed block inverts
-once (Montgomery's simultaneous inversion). Two drivers call it, each with
-a memo for one call. ``run_history`` keeps the history that runs over Q,
-``RecurrenceRun`` and the lemma checks read, and memoises units of nine
-indices. ``first_zero``, which scans and the soundness check call, keeps
-only a tree of memoised items of every scale. A survivor mod p meets few
-of them, the finite 3-kernel of an automatic sequence (Allouche &
-Shallit, *Automatic Sequences*, Thm 6.6.2): over the 222 condition pairs
-with p <= 100, to 10^6 indices, ``first_zero`` misses at most 23 units
-(median 4) and a median of 4 items on each level above, so a survivor
-costs O(log N) lookups, not N / 9.
+reducing is the identity and an inverse is 1/x. A block inverts once
+(Montgomery's simultaneous inversion), mod a prime below ``_TABLE_BOUND``
+by a lookup in a table of inverses built once per prime. ``_blocks``
+appends to the lists it is given, so one call steps any number of blocks
+in linear time. Three drivers call it:
+
+- ``run_history`` keeps the history that runs over Q, ``RecurrenceRun``
+  and the lemma checks read, memoises units of nine indices for one call,
+  and can continue a history it made before;
+- ``first_zero``, which the soundness check calls and a scan calls for
+  the few pairs still alive at ``_PROBE_INDEX``, keeps only a tree of
+  memoised items of every scale. A survivor mod p meets few of them, the
+  finite 3-kernel of an automatic sequence (Allouche & Shallit,
+  *Automatic Sequences*, Thm 6.6.2): over the 222 condition pairs with
+  p <= 100, to 10^6 indices, ``first_zero`` misses at most 23 units
+  (median 4) and a median of 4 items on each level above, so a survivor
+  costs O(log N) lookups, not N / 9;
+- ``scan_grid`` first runs each pair memo-free to index 729 = 3^6 (or
+  its horizon, if lower), a history tripled by each ``_blocks`` call.
+  Nearly every pair of a scan dies there (mean death index ~2p), and a
+  memo would cost it a key, a lookup and a store per unit that never
+  repeats.
 
 The coverage count marks each condition pair's lattice in a boolean grid
 with strided slices. numpy is imported only inside the two kernels whose
@@ -63,22 +74,49 @@ def get_backend() -> str:
 # largest admitted prime, fresh process).
 _MAX_STEPS = 1024
 
+# A scan runs each pair memo-free to this index, 3^6, before the tree of
+# ``first_zero`` (``scan_grid``).
+_PROBE_INDEX = 729
+
+# Primes below this bound invert by a lookup in a list of every inverse,
+# built once per prime and kept: the tables of all 171 odd primes below it
+# hold ~2 MB and take ~0.03 s to build. Above it a run inverts by pow, and
+# over Q by 1/x.
+_TABLE_BOUND = 2**10
+_INVERSES: dict[int, list] = {}
+
+
+def _inverse(p):
+    """The inversion of a run mod p, or over ``Q``."""
+    if p is Q:
+        return lambda x: 1 / x
+    if p >= _TABLE_BOUND:
+        return lambda x: pow(x, -1, p)
+    table = _INVERSES.get(p)
+    if table is None:  # slot 0 is None: a zero divisor raises, as pow does
+        table = _INVERSES.setdefault(p, [None, *(pow(x, -1, p) for x in range(1, p))])
+    return table.__getitem__
+
+
+def _field(u, v, p):
+    """The constants of a run: (u, v, u^2 - v, uv, -u, p, inverse), u and v
+    reduced."""
+    u %= p
+    v %= p
+    return u, v, (u * u - v) % p, u * v, -u % p, p, _inverse(p)
+
 
 def _start(u, v, p):
     """The constants of a run and its indices to 9: the seeds, then blocks 0
     and 1, which read seed slots 2 and 3.
 
-    Returns (field, alphas, betas, carry): field is (u, v, u^2 - v, uv, -u,
-    p, inverse), and the lists, indexed 1.. (slot 0 unused), end at index 9
-    or at the first zero beta, with carry None.
+    Returns (field, alphas, betas, carry): field as ``_field`` makes it, and
+    the lists, indexed 1.. (slot 0 unused), end at index 9 or at the first
+    zero beta, with carry None.
     """
-    u %= p
-    v %= p
-    inv = (lambda x: 1 / x) if p is Q else (lambda x: pow(x, -1, p))
-    c = (u * u - v) % p  # beta_2, and beta_{3k+4} + beta_{3k+5} in every block
-    field = u, v, c, u * v, -u % p, p, inv
-    alphas = [0, -u % p]
-    betas = [0, 1, c]
+    field = u, v, c, _, neg_u, p, inv = _field(u, v, p)
+    alphas = [0, neg_u]
+    betas = [0, 1, c]  # c = beta_2, and beta_{3k+4} + beta_{3k+5} in every block
     if c == 0:
         return field, alphas, betas, None
     # alpha_3 and beta_3 by the block's tail rules (``recurrence`` docstring)
@@ -87,22 +125,23 @@ def _start(u, v, p):
     betas.append((v - a2 * alphas[3]) % p)
     if betas[3] == 0:
         return field, alphas, betas, None
-    a_new, b_new, carry = _blocks((alphas, betas), 2, 4, (a2, c, betas[3]), field)
-    alphas += a_new
-    betas += b_new
-    return field, alphas, betas, carry
+    hist = alphas, betas
+    return field, alphas, betas, _blocks(hist, 2, 4, (a2, c, betas[3]), field, hist)
 
 
-def _blocks(slots, lo, hi, carry, field):
+def _blocks(slots, lo, hi, carry, field, out):
     """Step the blocks that read slots lo..hi-1 of one parent's alphas and
-    betas, ``slots[0]`` and ``slots[1]``.
+    betas, ``slots[0]`` and ``slots[1]``, appending their outputs to the
+    lists ``out[0]`` and ``out[1]``, which may be the slot lists
+    themselves: block k reads slot k+2 and writes indices 3k+4..3k+6, so a
+    history of indices 1..3j grows to 9j by ``_blocks(hist, j + 1, 3j + 1,
+    carry, field, hist)``, in one call and linear time.
 
     Block k writes alpha_{3k+4} = -u, beta_{3k+4}, beta_{3k+5},
     alpha_{3k+5}, alpha_{3k+6} and beta_{3k+6} from its slot alpha_{k+2},
     beta_{k+2} and the carry alpha_{3k+2}, beta_{3k+2}, beta_{3k+3}.
-    Returns the blocks' alphas and betas as tuples and the next carry, or
-    the tuples to a zero beta, which ends the run, and None. Each block
-    inverts once: with d = beta_{3k+3}
+    Returns the next carry, or None after appending up to a zero beta,
+    which ends the run. Each block inverts once: with d = beta_{3k+3}
     beta_{3k+2} and e = (u^2 - v) d - beta_{k+2}, so that beta_{3k+4} =
     beta_{k+2}/d and beta_{3k+5} = e/d, the inverse t of d e gives
     beta_{3k+4} = beta_{k+2} e t and 1/beta_{3k+5} = d^2 t (Montgomery's
@@ -110,15 +149,17 @@ def _blocks(slots, lo, hi, carry, field):
     """
     u, v, c, uv, neg_u, p, inv = field
     a2, b2, b3 = carry
-    slot_alphas, slot_betas = slots[0], slots[1]
-    alphas = betas = ()
+    slot_alphas, slot_betas = slots
+    alphas, betas = out
     for i in range(lo, hi):
         slot_a = slot_alphas[i]
         slot_b = slot_betas[i]
         d = b3 * b2 % p
         e = (c * d - slot_b) % p
         if e == 0:  # beta_{3k+5}, so beta_{3k+4} = u^2 - v
-            return alphas + (neg_u,), betas + (c, e), None
+            alphas.append(neg_u)
+            betas += (c, e)
+            return None
         t = inv(d * e % p)
         # e t = 1/d and d t = 1/e first: over Q they are the small products
         b4 = slot_b * (e * t) % p
@@ -130,11 +171,11 @@ def _blocks(slots, lo, hi, carry, field):
         alphas += (neg_u, a2, a6)
         betas += (b4, b2, b3)
         if b3 == 0:  # beta_{3k+6}
-            return alphas, betas, None
-    return alphas, betas, (a2, b2, b3)
+            return None
+    return a2, b2, b3
 
 
-def run_history(u, v, p, n: int):
+def run_history(u, v, p, n: int, history=None):
     """Recurrence history to the block boundary >= max(n, 3), or to the
     first zero beta, mod the odd prime p or over ``Q``.
 
@@ -142,6 +183,11 @@ def run_history(u, v, p, n: int):
     that end where the run stopped, and fail_index 0 when no beta vanished.
     A zero beta is kept at its index, and alpha_{3k+5} is absent when
     beta_{3k+5} is the zero. Mod p, u and v are ints; over Q, Fractions.
+    ``history``, the (alphas, betas) lists of an earlier zero-free run of
+    the same pair that ends at a block boundary, is continued in place:
+    its carry alpha_{3k+2}, beta_{3k+2}, beta_{3k+3} for the next block k
+    is its last two betas and second-to-last alpha, so only the new
+    indices are stepped.
 
     Block k reads slot k+2, so after blocks 0 and 1, which read the seeds,
     blocks 3m+2..3m+4 read slots 3m+4..3m+6, the outputs of parent block m.
@@ -151,27 +197,42 @@ def run_history(u, v, p, n: int):
     and every beta_{3j+3} = v - alpha_{3j+2} alpha_{3j+3}. An entry holds
     the unit's nine alphas, nine betas and the next carry, so a unit met
     again costs a lookup and two list extends. A miss steps the unit's
-    three blocks (``_blocks``); only zero-free units are stored (at most
-    ``_MAX_STEPS``), and a unit that passes the boundary is cut back to it,
-    a zero past the boundary with it. Where units rarely repeat (a large p,
-    a scan past p ~ 40), a lookup misses: a 10^6-index run at p = 10^9 + 7
-    takes ~5% longer than without it. The history is what ``RecurrenceRun``
-    and the lemma checks read; ``first_zero`` keeps none.
+    three blocks (``_blocks``) into the history and stores its last nine
+    entries; only zero-free units are stored (at most ``_MAX_STEPS``), and
+    a unit that passes the boundary is cut back to it, a zero past the
+    boundary with it. A resumed history that ends inside a unit first steps
+    the blocks to the unit's end, and its memo starts empty. Where units
+    rarely repeat (a large p, a scan past p ~ 40), a lookup misses: a
+    10^6-index run at p = 10^9 + 7 takes ~5% longer than without it. Where
+    they repeat, it pays: the 484 lemma runs to index 909 of the ``pairs``
+    benchmark workload take ~0.03 s with it and ~0.15 s without. The
+    history is what ``RecurrenceRun`` and the lemma checks read;
+    ``first_zero`` keeps none.
     """
     end = max(3, n + (-n) % 3)  # the block boundary >= max(n, 3)
-    field, alphas, betas, carry = _start(u, v, p)
+    if history is None:
+        field, alphas, betas, carry = _start(u, v, p)
+    else:
+        field = _field(u, v, p)
+        alphas, betas = history
+        carry = alphas[-2], betas[-2], betas[-1]
+    hist = alphas, betas
+    if carry is not None and len(betas) <= end:  # to the unit boundary
+        last = len(betas) - 1
+        carry = _blocks(hist, last // 3 + 1, (last + (-last) % 9) // 3 + 1, carry, field, hist)
     units = {}
-    m = 0  # the parent block of the next unit
+    m = len(betas) // 9 - 1  # the parent block of the next unit
     while carry is not None and len(betas) <= end:
         key = (alphas[3 * m + 5], betas[3 * m + 4], carry[0], carry[1])
         unit = units.get(key)
         if unit is None:
-            unit = _blocks((alphas, betas), 3 * m + 4, 3 * m + 7, carry, field)
-            if unit[2] is not None and len(units) < _MAX_STEPS:
-                units[key] = unit
-        a_new, b_new, carry = unit
-        alphas += a_new
-        betas += b_new
+            carry = _blocks(hist, 3 * m + 4, 3 * m + 7, carry, field, hist)
+            if carry is not None and len(units) < _MAX_STEPS:
+                units[key] = alphas[-9:], betas[-9:], carry
+        else:
+            a_new, b_new, carry = unit
+            alphas += a_new
+            betas += b_new
         m += 1
     if carry is None and len(betas) - 1 <= end:
         return alphas, betas, len(betas) - 1
@@ -197,11 +258,12 @@ def _items(run, level, parent, first, start, carry):
         kid = memo.get(key)
         if kid is None:
             if level == 1:
-                children = _blocks(slots, 3 * i, 3 * i + 3, carry, field)
-                after = children[2]
+                children = [], []
+                after = _blocks(slots, 3 * i, 3 * i + 3, carry, field, children)
                 if after is None:
                     index = start + len(children[1]) - 1
                     return index if index <= max_index else 0
+                children = tuple(children[0]), tuple(children[1])
             else:
                 children = _items(run, level - 1, parent[2][i], 0, start, carry)
                 if isinstance(children, int):
@@ -226,9 +288,9 @@ def first_zero(u: int, v: int, p: int, max_index: int) -> int:
     item is a function of its parent and of the carry alpha, beta at 3k+2
     before its first block k. The memo keys a unit as ``run_history`` does
     and an item above on its parent's id and the carry. An entry is (id,
-    next carry, children): three entries, or for a unit what ``_blocks``
-    returns, its nine alphas, nine betas and carry. The seeds and blocks 0
-    and 1 make the level-1 item -1, and the level-L item -1 is the
+    next carry, children): three entries, or for a unit its nine alphas
+    and nine betas, as tuples, which hold less than lists. The seeds and
+    blocks 0 and 1 make the level-1 item -1, and the level-L item -1 is the
     level-(L-1) items -1, 0 and 1, so the run grows a level at a time, each
     tripling it. A hit is a zero-free item, passed in one lookup; a miss
     runs its children in order, so the first zero met is the smallest.
@@ -255,17 +317,37 @@ def first_zero(u: int, v: int, p: int, max_index: int) -> int:
         level += 1
 
 
+def _scan_pair(u, v, p, n):
+    """``first_zero(u, v, p, n)``, first run memo-free to index
+    min(n, ``_PROBE_INDEX``) in one growing history: each ``_blocks``
+    call triples it, 9 -> 27 -> 81 -> 243 -> 729. Only a pair alive there
+    goes on to ``first_zero``, from index 1."""
+    field, alphas, betas, carry = _start(u, v, p)
+    hist = alphas, betas
+    top = min(n, _PROBE_INDEX)
+    while carry is not None and len(betas) <= top:
+        carry = _blocks(hist, len(betas) // 3 + 1, len(betas), carry, field, hist)
+    if carry is None:
+        index = len(betas) - 1
+        return index if index <= n else 0
+    return 0 if len(betas) > n else first_zero(u, v, p, n)
+
+
 def scan_grid(p: int, n: int) -> numpy.ndarray:
     """First-zero index for every pair in F_p^2 (0 = survivor), shape (p, p).
 
-    Rows u <= (p - 1)/2 run pair by pair through ``first_zero``; row -u
+    Rows u <= (p - 1)/2 run pair by pair through ``_scan_pair``; row -u
     mod p is the same row, by the parity in u of the module docstring.
+    Nearly every pair dies early (module docstring), so only the few alive
+    at ``_PROBE_INDEX`` (77 of the 5394 pairs of the half grids of the
+    primes 3..47, 69 of them survivors to 10^4) pay for ``first_zero``'s
+    tree, which takes a survivor to the horizon in O(log n) lookups.
     """
     import numpy as np
 
     first = np.zeros((p, p), dtype=np.int32)
     for u in range(p // 2 + 1):
-        first[u] = first[-u] = [first_zero(u, v, p, n) for v in range(p)]
+        first[u] = first[-u] = [_scan_pair(u, v, p, n) for v in range(p)]
     return first
 
 

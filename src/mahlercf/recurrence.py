@@ -32,7 +32,8 @@ Indexing is 1-based throughout, mirroring the subscripts above; the step
 scalars). The formulas are stepped in one place, ``kernels``: over Q in
 Fractions (plain ints are lifted) and over F_p in int residues. A
 RecurrenceRun is a view of one ``kernels.run_history`` run in either
-arithmetic, and history_mod_p reads its int lists directly;
+arithmetic, which its extend continues, and history_mod_p reads its int
+lists directly;
 first_beta_zero asks ``kernels.first_zero``, which keeps no history.
 """
 
@@ -97,9 +98,10 @@ class RecurrenceRun:
         return self.betas[i - 1]
 
     def extend(self, target_len: int) -> "RecurrenceRun":
-        """Rerun to whole blocks of three until len(self) >= target_len.
+        """Step whole blocks of three until len(self) >= target_len.
 
-        The final length lands on the next multiple of 3. Raises
+        The final length lands on the next multiple of 3. The run resumes
+        from its own entries, so only the new indices are stepped. Raises
         ExtendAfterFailure when called on a failed run.
         """
         if self.failure is not None:
@@ -108,7 +110,10 @@ class RecurrenceRun:
                 f"{self.failure.index} ({self.failure.cause})"
             )
         if len(self.betas) < target_len:
-            alphas, betas, idx = kernels.run_history(self.u, self.v, self.p, target_len)
+            args = self.u, self.v, self.p, target_len
+            if self.betas:  # resume from this run's own entries
+                args += ([0, *self.alphas], [0, *self.betas]),
+            alphas, betas, idx = kernels.run_history(*args)
             del alphas[0], betas[0]  # the unused slot 0, in place: a slice copies
             self.alphas, self.betas = tuple(alphas), tuple(betas)
             self.failure = Failure(idx, BETA_ZERO) if idx else None

@@ -275,10 +275,10 @@ class TestRecurrence:
         lengths = []
         run_history = recurrence.kernels.run_history
 
-        def recorded(u, v, p, n):
+        def recorded(u, v, p, n, *history):  # a growth resumes the run
             assert n < 6000, "a run to the full length started"
             lengths.append(n)
-            return run_history(u, v, p, n)
+            return run_history(u, v, p, n, *history)
 
         monkeypatch.setattr(recurrence.kernels, "run_history", recorded)
         previous = sys.get_int_max_str_digits()

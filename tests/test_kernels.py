@@ -7,9 +7,11 @@ boundary falls at every place in a unit), the traced memory of a run at a
 large p, the history-free ``first_zero`` against the history's first zero
 (at every level's item boundary, on late deaths, within a deadline on
 survivors to 10^6, and in traced memory), per-pair runs at every u for
-the scan (which runs half the rows and mirrors them across u -> -u), the
-parity in u that the mirror rests on, and a direct membership probe for
-the coverage count."""
+the scan (which runs half the rows and mirrors them across u -> -u, each
+pair memo-free to index 729 before first_zero, so the horizons fall on
+both sides of that hand-off), runs on both sides of the bound of the
+inverse tables, resumed runs against whole ones, the parity in u that the
+mirror rests on, and a direct membership probe for the coverage count."""
 
 import contextlib
 import random
@@ -358,6 +360,79 @@ def test_scan_grid_matches_per_pair_runs(p):
     grid = kernels.scan_grid(p, 600)
     assert grid.shape == (p, p) and grid.dtype == np.int32
     assert grid.tolist() == _per_pair_grid(p, 600)
+
+
+# the first and second level-1 items, the probe's steps 9 -> 27 -> ... ->
+# 729 on both sides, and horizons past the probe, where a pair alive at 729
+# goes on to first_zero
+PROBE_HORIZONS = (1, 2, 3, 9, 10, 27, 28, 728, 729, 730, 2187, 10_000)
+
+
+@pytest.mark.parametrize("p", primes_between(3, 47))
+def test_scan_grid_hands_over_to_first_zero(p):
+    with _deadline(30):
+        for n in PROBE_HORIZONS:
+            assert kernels.scan_grid(p, n).tolist() == _per_pair_grid(p, n), n
+
+
+@pytest.mark.parametrize("u,v,p,index", [(0, 29, 37, 932), (16, 8, 41, 1076), (18, 37, 47, 791)])
+def test_scan_grid_finds_deaths_past_the_probe(u, v, p, index):
+    # pairs alive at 729 that die before 10^4: their zero is found by
+    # first_zero, past the memo-free probe
+    for n in (728, 729, 730, index - 1):
+        assert kernels.scan_grid(p, n)[u, v] == 0, n
+    for n in (index, 2187, 10_000):
+        grid = kernels.scan_grid(p, n)
+        assert grid[u, v] == grid[-u % p, v] == index, n
+
+
+@pytest.mark.parametrize("p", [1021, 1031])
+def test_runs_on_both_sides_of_the_inverse_table_bound(p):
+    """Below _TABLE_BOUND a run inverts by a lookup in a table built once
+    for its prime; at and above it, by pow, and no table is built. Pairs
+    here die near index 2p, so these runs also step long in-place
+    ``_blocks`` calls: a scan's memo-free probe to 729 and first_zero past
+    it."""
+    assert (p < kernels._TABLE_BOUND) == (p == 1021)
+    rng = random.Random(p)
+    pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(30)]
+    pairs += [(5, 25), (0, 3), (p - 1, 1)]  # v = u^2 dies at 2
+    deaths = []
+    for u, v in pairs:
+        want = reference_run_history(u, v, p, 5000)
+        assert kernels.run_history(u, v, p, 5000) == want, (u, v)
+        for n in (10, 729, 730, 5000):
+            first = want[2] if 0 < want[2] <= n else 0
+            assert kernels.first_zero(u, v, p, n) == first, (u, v, n)
+            assert kernels._scan_pair(u, v, p, n) == first, (u, v, n)
+        deaths.append(want[2])
+    assert 2 in deaths and any(729 < d <= 5000 for d in deaths)
+    if p < kernels._TABLE_BOUND:
+        table = kernels._INVERSES[p]
+        assert table[0] is None and all(x * table[x] % p == 1 for x in range(1, p))
+    else:
+        assert not any(q >= kernels._TABLE_BOUND for q in kernels._INVERSES)
+
+
+@pytest.mark.parametrize("u,v,p,steps", [
+    (16, 8, 41, (7, 100, 1000, 1074, 1100)),  # dies at 1076, inside the last unit
+    (3, 3, 11, (3, 6, 7, 8, 30)),  # dies at 8 = 3k + 5
+    (5, 1, 11, (3, 10, 28, 100, 2000)),  # a survivor
+    (123456789, 987654321, 2**61 - 1, (9, 12, 300, 301, 1000)),
+    (Fraction(2, 3), Fraction(-1, 2), kernels.Q, (3, 6, 12, 50, 120)),
+    (2, 1, kernels.Q, (3, 4, 5, 6, 100)),  # dies at 6 over Q
+])
+def test_a_resumed_run_equals_one_run(u, v, p, steps):
+    # run_history continues a history in place, from any block boundary,
+    # including one inside a unit; a failure inside the last resumed unit
+    # past the boundary is not reported until a later step reaches it
+    alphas, betas, fail = kernels.run_history(u, v, p, steps[0])
+    for n in steps[1:]:
+        if fail:
+            break
+        alphas, betas, fail = kernels.run_history(u, v, p, n, (alphas, betas))
+        assert (alphas, betas, fail) == reference_run_history(u, v, p, n), n
+    assert (alphas, betas, fail) == kernels.run_history(u, v, p, steps[-1])
 
 
 def test_scan_grid_full_horizon():

@@ -162,6 +162,26 @@ class TestExtend:
         b = run_over_q(3, -7, 36)
         assert a.alphas == b.alphas and a.betas == b.betas
 
+    @pytest.mark.parametrize("u,v,p,steps", [
+        (Fraction(2, 3), Fraction(-1, 2), kernels.Q, (10, 25, 100, 301, 600)),
+        (0, 1, kernels.Q, (4, 9, 28, 82, 244)),
+        (2, 1, kernels.Q, (3, 4, 5, 6, 100)),  # dies at 6 over Q
+        (5, 1, 11, (10, 25, 100, 301, 2000)),
+        (0, 29, 37, (10, 100, 925, 929, 1000)),  # dies at 932, inside the last unit
+    ])
+    def test_grown_in_five_steps_equals_one_run(self, u, v, p, steps, monkeypatch):
+        # each step resumes the run: only the first starts from the seeds
+        starts = []
+        start = kernels._start
+        monkeypatch.setattr(kernels, "_start", lambda *a: starts.append(a) or start(*a))
+        run = RecurrenceRun(u, v, p)
+        for n in steps:
+            if run.ok:
+                run.extend(n)
+        assert len(starts) == 1
+        whole = RecurrenceRun(u, v, p, steps[-1])
+        assert (run.alphas, run.betas, run.failure) == (whole.alphas, whole.betas, whole.failure)
+
     def test_ok_run_has_no_zero_beta(self):
         run = run_over_q(5, -4, 60)
         assert run.ok
