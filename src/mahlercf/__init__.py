@@ -14,7 +14,6 @@ from .fields import ExactRational, is_prime, poly_roots_mod_p, primes_between
 from .laurent import (
     CFExpansion,
     InsufficientDepth,
-    LaurentSeries,
     NeedTwoTerms,
     Polynomial,
     cf_extract,
@@ -48,7 +47,6 @@ __all__ = [
     "ExtendAfterFailure",
     "Failure",
     "InsufficientDepth",
-    "LaurentSeries",
     "LemmaSpec",
     "NeedTwoTerms",
     "Polynomial",

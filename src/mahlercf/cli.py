@@ -54,6 +54,8 @@ MAX_BLOCKS = (MAX_HORIZON - 9) // 9
 # cap, expand_g to 13184 takes ~0.03 s, but `cf -u=1 -v=-2 -n 6590` runs
 # ~820 s at ~40 MB peak RSS before the extraction exhausts that depth
 # (2-core box, Python 3.11); its remainder integers grow with every quotient.
+# `mu` is no better: `mu -u 2 -v 4 -n 300` runs 177-213 s on the same box
+# before it exits 3 (DEPTH_EXHAUSTED).
 MAX_DEPTH = 64 * 206
 
 # Largest `--primes-max` of `check` and `density`: condition_tables(10**6)

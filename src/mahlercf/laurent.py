@@ -1,15 +1,16 @@
-"""Truncated Laurent series, dense polynomials, and the continued-fraction
+"""The truncated series of g, dense polynomials, and the continued-fraction
 machinery that cross-checks the block recurrence.
 
-A LaurentSeries carries an explicit truncation floor: every stored
-coefficient (degrees floor..top_degree) is exact, and any operation that
-would need a coefficient below the floor raises InsufficientDepth instead
-of silently degrading. That exactness is the whole point: the classical
-quotient-extraction algorithm run on a deep-enough expansion is an
-independent oracle for the recurrence's (alpha_i, beta_i).
+A series is expand_g's list of coefficients for z^-1, z^-2, ..., its floor
+at -len: g is always led by z^-1, so its polynomial part is zero. Every
+coefficient down to the floor is exact, and any operation that would need
+one below the floor raises InsufficientDepth instead of silently degrading.
+That exactness is the whole point: the classical quotient-extraction
+algorithm run on a deep-enough expansion is an independent oracle for the
+recurrence's (alpha_i, beta_i).
 
-The classical expansion  f = b_0 + 1/(b_1 + 1/(b_2 + ...))  comes from a
-remainder sequence, with no series inversion: s_-1 = 1, s_0 = f - b_0,
+The classical expansion  g = 1/(b_1 + 1/(b_2 + ...))  comes from a
+remainder sequence, with no series inversion: s_-1 = 1, s_0 = g,
 b_k+1 = polynomial part of s_k-1 / s_k, s_k+1 = s_k-1 - b_k+1 s_k, exact
 down to floor s_k + deg b_k+1 (floors never fall). Inside cf_extract a
 remainder is fraction-free: a primitive list of Python ints, one per
@@ -124,68 +125,10 @@ class Polynomial:
         return "Polynomial(" + " + ".join(reversed(terms)) + ")"
 
 
-class LaurentSeries:
-    """Coefficients for degrees top_degree down to floor, all exact.
-
-    Degrees above top_degree are exactly zero; degrees below floor are
-    unknown. The stored leading coefficient is nonzero unless the series is
-    identically zero down to the floor (then the valuation is uncertifiable
-    and known_valuation() returns None).
-    """
-
-    __slots__ = ("top_degree", "floor", "coeffs")
-
-    def __init__(self, top_degree: int, coeffs, floor: int):
-        c = list(coeffs)
-        if len(c) != top_degree - floor + 1:
-            raise ValueError("coefficient count does not match degree window")
-        while c and top_degree > floor and c[0] == 0:
-            c.pop(0)
-            top_degree -= 1
-        self.top_degree = top_degree
-        self.floor = floor
-        self.coeffs = c
-
-    def known_valuation(self) -> int | None:
-        """Largest degree with nonzero coefficient, or None if zero to the floor."""
-        for j, c in enumerate(self.coeffs):
-            if c != 0:
-                return self.top_degree - j
-        return None
-
-    def is_zero_to_floor(self) -> bool:
-        return self.known_valuation() is None
-
-    def coeff(self, d: int):
-        if d > self.top_degree:
-            return 0
-        if d < self.floor:
-            raise InsufficientDepth(f"coefficient of degree {d} is below floor {self.floor}")
-        return self.coeffs[self.top_degree - d]
-
-    def poly_part(self) -> Polynomial:
-        """Terms of degree >= 0; needs floor <= 0 unless the window is empty."""
-        if self.top_degree < 0:
-            return Polynomial()
-        if self.floor > 0:
-            raise InsufficientDepth("floor above degree 0: polynomial part not certified")
-        return Polynomial([self.coeff(d) for d in range(self.top_degree + 1)])
-
-    def fractional_part(self) -> "LaurentSeries":
-        """Terms of degree <= -1 (exact; the floor is unchanged)."""
-        top = min(self.top_degree, -1)
-        out = [self.coeff(d) for d in range(top, self.floor - 1, -1)]
-        return LaurentSeries(top, out, self.floor)
-
-    def __repr__(self):
-        return f"LaurentSeries(top={self.top_degree}, floor={self.floor})"
-
-
 @dataclass
 class CFExpansion:
     """Renormalised continued fraction: constant numerators over monic quotients."""
 
-    a0: Polynomial
     pairs: list  # [(beta_i, a_i)], 1-based by position
 
     def __len__(self):
@@ -215,16 +158,16 @@ class CFExpansion:
 
     def to_json_dict(self) -> dict:
         return {
-            "a0": [str(c) for c in self.a0.coeffs],
+            "a0": [],  # g has no polynomial part
             "terms": [{"beta": str(b), "a": [str(c) for c in a.coeffs]} for b, a in self.pairs],
         }
 
 
-def expand_g(u, v, depth: int) -> LaurentSeries:
+def expand_g(u, v, depth: int) -> list:
     """The product  z^-1 * prod_t (1 + u z^-3^t + v z^-2*3^t)  to depth exact terms.
 
-    Coefficients of degrees -1 .. -depth are exact (factors with 3^t > depth
-    cannot touch them); the floor is -depth.
+    Entry m is the coefficient of z^(-1-m). Degrees -1 .. -depth are exact
+    (factors with 3^t > depth cannot touch them); the floor is -depth.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -237,11 +180,13 @@ def expand_g(u, v, depth: int) -> LaurentSeries:
     c = [Fraction(1)]
     for m in range(1, depth):
         c.append(c[m // 3] * digit[m % 3])
-    return LaurentSeries(-1, c, -depth)
+    return c
 
 
-def cf_extract(g: LaurentSeries, max_terms: int) -> CFExpansion:
-    """Classical quotient extraction, renormalised to (beta_i, monic a_i).
+def cf_extract(coeffs: list, max_terms: int) -> CFExpansion:
+    """Classical quotient extraction, renormalised to (beta_i, monic a_i),
+    from a series as expand_g returns it: coeffs[m] at z^(-1-m), the floor
+    at -len(coeffs).
 
     Stops after max_terms quotients. Raises InsufficientDepth as soon as the
     next quotient is not fully determined by exact coefficients, at the point
@@ -253,26 +198,24 @@ def cf_extract(g: LaurentSeries, max_terms: int) -> CFExpansion:
     integer products and one gcd, and only the quotient's coefficients and
     beta become Fractions.
     """
-    if g.is_zero_to_floor():
+    if not any(coeffs):
         raise InsufficientDepth("series is zero to its floor; nothing to expand")
-    a0 = g.poly_part()
     # A remainder is its coefficient list from one degree below the valuation
     # of the remainder before it, down to its floor. Floors never fall, so a
     # quotient's degree is one more than the leading zeros of the remainder,
     # and only the remainder's own floor limits the long division.
-    frac = [g.coeff(d) for d in range(-1, g.floor - 1, -1)]  # s_0 = g - a0
-    den = lcm(*(c.denominator for c in frac))
-    cur = [c.numerator * (den // c.denominator) for c in frac]
+    den = lcm(*(c.denominator for c in coeffs))
+    cur = [c.numerator * (den // c.denominator) for c in coeffs]
     num = gcd(*cur)  # s_0 = (num / den) * cur
     if num > 1:
         cur = [c // num for c in cur]
-    prev = [1] + [0] * -g.floor  # s_-1 = 1
+    prev = [1] + [0] * len(coeffs)  # s_-1 = 1
     pairs = []
     for _ in range(max_terms):
         lead = next((j for j, c in enumerate(cur) if c), None)
         if lead is None:
             raise InsufficientDepth(
-                "cannot invert a series that is zero to its floor", CFExpansion(a0, pairs)
+                "cannot invert a series that is zero to its floor", CFExpansion(pairs)
             )
         cur, deg = cur[lead:], lead + 1
         # long division reads cur down to deg degrees below its valuation
@@ -305,21 +248,16 @@ def cf_extract(g: LaurentSeries, max_terms: int) -> CFExpansion:
         pairs.append((Fraction(num * c0, den * q[0]), Polynomial(reversed(monic))))
         num, den = content, c0**deg * q[0]
         prev, cur = cur, rest
-    return CFExpansion(a0, pairs)
+    return CFExpansion(pairs)
 
 
 def convergents(cf: CFExpansion, k: int):
     """(p_k, q_k) via p_n = a_n p_{n-1} + beta_n p_{n-2} (same for q)."""
     if k < 0 or k > len(cf.pairs):
         raise IndexError(f"convergent {k} outside 0..{len(cf.pairs)}")
-    p_prev, q_prev = cf.a0, Polynomial([1])
-    if k == 0:
-        return p_prev, q_prev
-    beta1, a1 = cf.pairs[0]
-    p_cur = cf.a0 * a1 + Polynomial([beta1])
-    q_cur = a1
-    for i in range(2, k + 1):
-        beta, a = cf.pairs[i - 1]
+    p_prev, p_cur = Polynomial([1]), Polynomial()
+    q_prev, q_cur = Polynomial(), Polynomial([1])
+    for beta, a in cf.pairs[:k]:
         p_cur, p_prev = a * p_cur + p_prev.scale(beta), p_cur
         q_cur, q_prev = a * q_cur + q_prev.scale(beta), q_cur
     return p_cur, q_cur
@@ -357,7 +295,7 @@ def convergent_denominator_degrees(cf: CFExpansion) -> list[int]:
     return list(accumulate((a.degree for _, a in cf.pairs), initial=0))
 
 
-def residual_valuation(g: LaurentSeries, p_k: Polynomial, q_k: Polynomial) -> int:
+def residual_valuation(coeffs: list, p_k: Polynomial, q_k: Polynomial) -> int:
     """||q_k g - p_k||; equals -(k+1) for a correct all-linear convergent.
 
     Raises InsufficientDepth when the residual is zero down to its floor,
@@ -365,9 +303,10 @@ def residual_valuation(g: LaurentSeries, p_k: Polynomial, q_k: Polynomial) -> in
     """
     if q_k.is_zero():
         raise ValueError("multiplication by the zero polynomial discards the floor")
-    floor = g.floor + q_k.degree  # q_k g is exact down to here
-    for d in range(max(g.top_degree + q_k.degree, p_k.degree), floor - 1, -1):
-        if sum(c * g.coeff(d - j) for j, c in enumerate(q_k.coeffs)) != p_k.coeff(d):
+    floor = q_k.degree - len(coeffs)  # q_k g is exact down to here
+    for d in range(max(q_k.degree - 1, p_k.degree), floor - 1, -1):
+        # g's coefficient of z^(d - j) is coeffs[j - d - 1], zero for j <= d
+        if sum(c * coeffs[j - d - 1] for j, c in enumerate(q_k.coeffs) if j > d) != p_k.coeff(d):
             return d
     raise InsufficientDepth(f"residual vanishes above floor {floor}: valuation not certified")
 

@@ -132,6 +132,10 @@ PINNED_OUTPUT = {
         "d93478599debf76e243760a98296fafccb5e168daf7d2361e0d067c71f459696", EMPTY),
     "mu-rational-g": ("mu -u=1 -v=1 -n 10", EXIT_NO_PRECISION,
         "a9fe602e37b907704e810be51837bc0bc01e5baf938f9d51c7323dadf1263c1f", EMPTY),
+    # quotients of degree 3, 7, 19 (denominator degrees 2 -> 5, 6 -> 13,
+    # 18 -> 37) step remainders with leading zeros
+    "mu-nonlinear": ("mu -u=1 -v=-2 -n 28", EXIT_OK,
+        "5712e26f0cb0b8ac968445ccfff9ea7fb4ef7ebda7e6783ad3526c50283af8a3", EMPTY),
     "mu-window": ("mu -u 5 -v 1 -n 11 --window-start 5 --window-end 5", EXIT_USAGE,
         EMPTY, "6f06817141e904bb74162bd9458cd1f589c58a9751d7f0764d2dec350f432a81"),
     "no-command": ("nonsense", EXIT_USAGE,

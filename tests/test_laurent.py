@@ -12,7 +12,6 @@ from mahlercf.kernels import run_history
 from mahlercf.laurent import (
     CFExpansion,
     InsufficientDepth,
-    LaurentSeries,
     NeedTwoTerms,
     Polynomial,
     cf_extract,
@@ -25,39 +24,43 @@ from mahlercf.laurent import (
 from mahlercf.recurrence import run_over_q
 
 
-def reference_inverse(s: LaurentSeries) -> LaurentSeries:
-    """Multiplicative inverse; exact down to floor - 2*valuation."""
-    t = s.known_valuation()
-    if t is None:
+def reference_inverse(coeffs):
+    """Multiplicative inverse of the series with coefficient coeffs[m] at
+    z^(-1-m), as (top, h): h[j] is the coefficient of z^(top - j), exact to
+    the end of h, whose floor is top - len(h) + 1 = -len(coeffs) - 2*valuation.
+    """
+    lead = next((j for j, c in enumerate(coeffs) if c), None)
+    if lead is None:
         raise InsufficientDepth("cannot invert a series that is zero to its floor")
-    lead = s.coeff(t)
-    m = t - s.floor + 1  # number of known coefficients from the valuation down
-    inv_lead = 1 / lead
+    s = coeffs[lead:]  # from the valuation -1 - lead down to the floor
+    inv_lead = 1 / s[0]
     h = [inv_lead]
-    for j in range(1, m):
+    for j in range(1, len(s)):
         acc = 0
         for i in range(1, j + 1):
-            acc = acc + s.coeff(t - i) * h[j - i]
+            acc = acc + s[i] * h[j - i]
         h.append(-acc * inv_lead)
-    return LaurentSeries(-t, h, -t - m + 1)
+    return 1 + lead, h
 
 
-def reference_quotients(g: LaurentSeries):
+def reference_quotients(coeffs):
     """Classical extraction by inverting every remainder, O(terms * depth^2).
 
     The independent reference for cf_extract: yields the renormalised
     (beta_i, a_i) in order and raises InsufficientDepth where cf_extract
     must refuse, with the same message.
     """
-    remainder = g.fractional_part()
     lam_prev = None
     while True:
-        f = reference_inverse(remainder)
-        b = f.poly_part()
+        top, inv = reference_inverse(coeffs)
+        floor = top - len(inv) + 1
+        if floor > 0:
+            raise InsufficientDepth("floor above degree 0: polynomial part not certified")
+        b = Polynomial(reversed(inv[:top + 1]))  # degrees 0..top
         lam = b.leading
         yield (1 / lam if lam_prev is None else 1 / (lam_prev * lam)), b.monic()
         lam_prev = lam
-        remainder = f.fractional_part()
+        coeffs = inv[top + 1:]  # degrees -1..floor: the next remainder
 
 
 class TestPolynomial:
@@ -76,31 +79,19 @@ class TestPolynomial:
 
 class TestExpand:
     def test_zero_pair_is_z_inverse(self):
-        s = expand_g(0, 0, 12)
-        assert s.top_degree == -1
-        assert s.coeff(-1) == 1
-        assert all(s.coeff(d) == 0 for d in range(-12, -1))
+        assert expand_g(0, 0, 12) == [1] + [0] * 11
 
     def test_ones_pair(self):
-        s = expand_g(1, 1, 6)
-        assert [s.coeff(-d) for d in range(1, 7)] == [1] * 6
+        assert expand_g(1, 1, 6) == [1] * 6
 
     def test_2_3_prefix(self):
-        s = expand_g(2, 3, 4)
-        assert [s.coeff(-d) for d in range(1, 5)] == [1, 2, 3, 2]
+        assert expand_g(2, 3, 4) == [1, 2, 3, 2]
 
     def test_truncation_consistency(self):
         rng = random.Random(3)
         for _ in range(10):
             u, v = rng.randint(-8, 8), rng.randint(-8, 8)
-            deep = expand_g(u, v, 40)
-            shallow = expand_g(u, v, 15)
-            assert [deep.coeff(d) for d in range(-1, -16, -1)] == shallow.coeffs
-
-    def test_coeff_below_floor_raises(self):
-        s = expand_g(2, 3, 4)
-        with pytest.raises(InsufficientDepth):
-            s.coeff(-5)
+            assert expand_g(u, v, 40)[:15] == expand_g(u, v, 15)
 
     def test_matches_finite_product(self):
         # prod_t (1 + u x^(3^t) + v x^(2*3^t)) over 3^t <= 100, multiplied
@@ -115,8 +106,7 @@ class TestExpand:
                 step = 3**t
                 product = product * Polynomial([1] + [0] * (step - 1) + [u] + [0] * (step - 1) + [v])
             for depth in range(1, 101):
-                s = expand_g(u, v, depth)
-                assert [s.coeff(-1 - m) for m in range(depth)] == [
+                assert expand_g(u, v, depth) == [
                     product.coeff(m) for m in range(depth)
                 ], (u, v, depth)
 
@@ -124,7 +114,7 @@ class TestExpand:
 class TestExtract:
     def test_pure_z_inverse(self):
         cf = cf_extract(expand_g(0, 0, 10), 1)
-        assert cf.a0.is_zero()
+        assert convergents(cf, 0) == (Polynomial(), Polynomial([1]))
         assert cf.beta(1) == 1
         assert cf.quotient(1) == Polynomial([0, 1])
 
@@ -158,6 +148,11 @@ class TestExtract:
         with pytest.raises(InsufficientDepth):
             cf_extract(expand_g(2, 3, 6), 20)
 
+    def test_zero_list_refused(self):
+        for coeffs in ([Fraction(0)], [Fraction(0)] * 9):
+            with pytest.raises(InsufficientDepth, match="zero to its floor; nothing to expand"):
+                cf_extract(coeffs, 1)
+
     @pytest.mark.parametrize("u, v, n, chain", [
         (2, 4, 10, [(1, 2), (3, 4), (7, 2), (9, 10), (19, 2), (21, 4), (25, 2), (27, 28), (55, 2)]),
         (1, -2, 28, [(2, 3), (6, 7), (18, 19)]),
@@ -185,10 +180,10 @@ class TestAgainstInversionReference:
     """cf_extract and the inversion reference certify exactly the same terms."""
 
     @staticmethod
-    def assert_same_certification(g, depth):
+    def assert_same_certification(coeffs, depth):
         ref_terms, ref_refusal = [], None
         try:
-            for term in reference_quotients(g):
+            for term in reference_quotients(coeffs):
                 ref_terms.append(term)
                 if len(ref_terms) == depth:
                     break
@@ -196,12 +191,12 @@ class TestAgainstInversionReference:
             ref_refusal = str(exc)
         for n in range(1, depth + 1):
             if n <= len(ref_terms):
-                cf = cf_extract(g, n)
+                cf = cf_extract(coeffs, n)
                 assert cf.pairs == ref_terms[:n], n
-                assert cf.a0 == g.poly_part()
+                assert convergents(cf, 0)[0] == Polynomial()
             else:
                 with pytest.raises(InsufficientDepth) as info:
-                    cf_extract(g, n)
+                    cf_extract(coeffs, n)
                 assert str(info.value) == ref_refusal, n
 
     @pytest.mark.parametrize("depth", [4, 9, 22, 35])
@@ -213,16 +208,17 @@ class TestAgainstInversionReference:
         for u, v in pairs:
             self.assert_same_certification(expand_g(u, v, depth), depth)
 
-    def test_series_with_polynomial_part(self):
+    def test_lists_with_leading_zeros(self):
+        # valuation -1 - zeros, so the first quotient has degree zeros + 1
         rng = random.Random(17)
         for _ in range(40):
-            top = rng.randint(-3, 3)
-            floor = rng.randint(-14, min(top, 0))
-            coeffs = [Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
-                      for _ in range(top - floor + 1)]
-            g = LaurentSeries(top, coeffs, floor)
-            if not g.is_zero_to_floor():
-                self.assert_same_certification(g, 8)
+            zeros = rng.randint(0, 4)
+            lead = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
+            coeffs = [Fraction(0)] * zeros + [lead] + [
+                Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+                for _ in range(rng.randint(0, 14 - zeros))
+            ]
+            self.assert_same_certification(coeffs, 8)
 
 
 class TestOracleEquivalence:
@@ -273,9 +269,9 @@ class TestConvergents:
     def test_k0_and_k1(self):
         cf = cf_extract(expand_g(2, 3, 24), 5)
         p0, q0 = convergents(cf, 0)
-        assert p0 == cf.a0 and q0 == Polynomial([1])
+        assert p0 == Polynomial() and q0 == Polynomial([1])
         p1, q1 = convergents(cf, 1)
-        # a0 = 0 here, so p1 = beta_1, q1 = a_1
+        # g has no polynomial part, so p1 = beta_1, q1 = a_1
         assert p1 == Polynomial([cf.beta(1)])
         assert q1 == cf.quotient(1)
 
@@ -312,6 +308,14 @@ class TestResidualValuation:
         cf = cf_extract(g, 21)
         pk, qk = convergents(cf, 20)
         assert residual_valuation(g, pk, qk) == -21
+
+    def test_valuation_on_the_floor(self):
+        # q_10 g is exact down to degree 10 - depth: depth 21 certifies the
+        # valuation -11 on the floor itself, depth 20 cannot
+        pk, qk = convergents(cf_extract(expand_g(5, 1, 30), 11), 10)
+        assert residual_valuation(expand_g(5, 1, 21), pk, qk) == -11
+        with pytest.raises(InsufficientDepth):
+            residual_valuation(expand_g(5, 1, 20), pk, qk)
 
     def test_zero_q_raises(self):
         with pytest.raises(ValueError):
