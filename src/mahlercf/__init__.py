@@ -10,12 +10,11 @@ integer-pair coverage density.
 """
 
 from .conditions import ConditionWitness, check_pair, covered, covered_up_to, satisfying_pairs
-from .fields import ExactRational, is_prime, poly_roots_mod_p, primes_between
+from .fields import is_prime, poly_roots_mod_p, primes_between
 from .laurent import (
     CFExpansion,
     InsufficientDepth,
     NeedTwoTerms,
-    Polynomial,
     cf_extract,
     convergents,
     expand_g,
@@ -43,13 +42,11 @@ __all__ = [
     "CFExpansion",
     "ConditionWitness",
     "DensityReport",
-    "ExactRational",
     "ExtendAfterFailure",
     "Failure",
     "InsufficientDepth",
     "LemmaSpec",
     "NeedTwoTerms",
-    "Polynomial",
     "RecurrenceRun",
     "ScanResult",
     "cf_extract",

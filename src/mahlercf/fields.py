@@ -17,9 +17,6 @@ import math
 from fractions import Fraction
 from itertools import compress
 
-# The rational scalar type of every exact run.
-ExactRational = Fraction
-
 # Strong-probable-prime tests to the 13 primes 2..41 decide primality for
 # every n below this limit (Sorenson & Webster, Math. Comp. 86, 2017); it is
 # the least composite that passes all 13.

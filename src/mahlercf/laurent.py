@@ -1,5 +1,5 @@
-"""The truncated series of g, dense polynomials, and the continued-fraction
-machinery that cross-checks the block recurrence.
+"""The truncated series of g and the continued-fraction machinery that
+cross-checks the block recurrence.
 
 A series is expand_g's list of coefficients for z^-1, z^-2, ..., its floor
 at -len: g is always led by z^-1, so its polynomial part is zero. Every
@@ -28,13 +28,18 @@ where lam_i is the leading coefficient of b_i; beta_i needs only the ratio
 of consecutive scales, so cf_extract never forms a scale itself. The
 transform is validated by the oracle-equivalence tests, not trusted a
 priori.
+
+Quotients and convergents are coefficient lists, ascending by degree, []
+for zero. No leading coefficient ever cancels (a quotient is monic, and in
+p_k = a_k p_k-1 + beta_k p_k-2 the first term has the higher degree), so
+the last entry is nonzero and a list of length n has degree n - 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from math import gcd, lcm
 
 from .fields import as_scalar
@@ -56,75 +61,6 @@ class NeedTwoTerms(ValueError):
     """The exponent estimate needs at least two denominator degrees."""
 
 
-class Polynomial:
-    """Dense polynomial over Q; coeffs ascending by degree."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = c
-
-    @property
-    def degree(self) -> int:
-        # zero polynomial reports -1
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, d: int):
-        return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
-
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial([self.coeff(d) + other.coeff(d) for d in range(n)])
-
-    def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Polynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(out)
-
-    def scale(self, c):
-        return Polynomial([a * c for a in self.coeffs])
-
-    def monic(self) -> "Polynomial":
-        lam = self.leading
-        return Polynomial([a / lam for a in self.coeffs])
-
-    def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.degree == other.degree and all(
-                a == b for a, b in zip(self.coeffs, other.coeffs)
-            )
-        return NotImplemented
-
-    def __repr__(self):
-        if self.is_zero():
-            return "Polynomial(0)"
-        terms = [f"{c!s}*z^{d}" for d, c in enumerate(self.coeffs) if c != 0]
-        return "Polynomial(" + " + ".join(reversed(terms)) + ")"
-
-
 @dataclass
 class CFExpansion:
     """Renormalised continued fraction: constant numerators over monic quotients."""
@@ -137,15 +73,15 @@ class CFExpansion:
     def beta(self, i: int):
         return self.pairs[i - 1][0]
 
-    def quotient(self, i: int) -> Polynomial:
+    def quotient(self, i: int) -> list:
         return self.pairs[i - 1][1]
 
     def all_linear(self) -> bool:
-        return all(a.degree == 1 for _, a in self.pairs)
+        return self.first_nonlinear() is None
 
     def first_nonlinear(self) -> int | None:
         for i, (_, a) in enumerate(self.pairs, start=1):
-            if a.degree != 1:
+            if len(a) != 2:
                 return i
         return None
 
@@ -153,13 +89,13 @@ class CFExpansion:
         """The alpha_i with a_i = z + alpha_i; raises on a nonlinear quotient."""
         bad = self.first_nonlinear()
         if bad is not None:
-            raise ValueError(f"quotient {bad} has degree {self.quotient(bad).degree}, not 1")
-        return [a.coeff(0) for _, a in self.pairs]
+            raise ValueError(f"quotient {bad} has degree {len(self.quotient(bad)) - 1}, not 1")
+        return [a[0] for _, a in self.pairs]
 
     def to_json_dict(self) -> dict:
         return {
             "a0": [],  # g has no polynomial part
-            "terms": [{"beta": str(b), "a": [str(c) for c in a.coeffs]} for b, a in self.pairs],
+            "terms": [{"beta": str(b), "a": [str(c) for c in a]} for b, a in self.pairs],
         }
 
 
@@ -245,29 +181,41 @@ def cf_extract(coeffs: list, max_terms: int) -> CFExpansion:
         # set num to the gcd it took out of s_k and den to its c0^deg * q[0];
         # before the first step num / den is s_0's scale, so beta_1 = 1 / lam_1
         monic = [Fraction(qi, q[0] * c0**i) for i, qi in enumerate(q)]
-        pairs.append((Fraction(num * c0, den * q[0]), Polynomial(reversed(monic))))
+        pairs.append((Fraction(num * c0, den * q[0]), monic[::-1]))
         num, den = content, c0**deg * q[0]
         prev, cur = cur, rest
     return CFExpansion(pairs)
 
 
+def _mul(a: list, b: list) -> list:
+    """The product of two coefficient lists; [] is zero."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def convergents(cf: CFExpansion, k: int):
-    """(p_k, q_k) via p_n = a_n p_{n-1} + beta_n p_{n-2} (same for q)."""
+    """(p_k, q_k) via p_n = a_n p_{n-1} + beta_n p_{n-2} (same for q), as
+    coefficient lists."""
     if k < 0 or k > len(cf.pairs):
         raise IndexError(f"convergent {k} outside 0..{len(cf.pairs)}")
-    p_prev, p_cur = Polynomial([1]), Polynomial()
-    q_prev, q_cur = Polynomial(), Polynomial([1])
+    p_prev, p, q_prev, q = [1], [], [], [1]
     for beta, a in cf.pairs[:k]:
-        p_cur, p_prev = a * p_cur + p_prev.scale(beta), p_cur
-        q_cur, q_prev = a * q_cur + q_prev.scale(beta), q_cur
-    return p_cur, q_cur
+        # a_n p_{n-1} is the longer list, except at p_1 = beta_1 (p_0 = 0)
+        p, p_prev = [x + beta * y for x, y in zip_longest(_mul(a, p), p_prev, fillvalue=0)], p
+        q, q_prev = [x + beta * y for x, y in zip_longest(_mul(a, q), q_prev, fillvalue=0)], q
+    return p, q
 
 
-def _cubed(q: Polynomial) -> Polynomial:
+def _cubed(q: list) -> list:
     """q(z^3)."""
-    out = [0] * (3 * q.degree + 1)
-    out[::3] = q.coeffs
-    return Polynomial(out)
+    out = [0] * (3 * len(q) - 2)
+    out[::3] = q
+    return out
 
 
 def convergent_is_g(u, v, cf: CFExpansion) -> bool:
@@ -280,10 +228,10 @@ def convergent_is_g(u, v, cf: CFExpansion) -> bool:
     P(z) Q(z^3) = (z^2 + u z + v) P(z^3) Q(z).
     """
     p, q = convergents(cf, len(cf))
-    if p.is_zero() or q.degree != p.degree + 1 or p.leading != q.leading:
+    if not p or len(q) != len(p) + 1 or p[-1] != q[-1]:
         return False
-    step = Polynomial([as_scalar(v), as_scalar(u), 1])
-    return p * _cubed(q) == step * _cubed(p) * q
+    step = [as_scalar(v), as_scalar(u), 1]
+    return _mul(p, _cubed(q)) == _mul(_mul(step, _cubed(p)), q)
 
 
 def convergent_denominator_degrees(cf: CFExpansion) -> list[int]:
@@ -292,21 +240,23 @@ def convergent_denominator_degrees(cf: CFExpansion) -> list[int]:
     In q_k = a_k q_k-1 + beta_k q_k-2 the degrees rise strictly (deg a_k >= 1)
     and beta_k is a nonzero constant, so deg q_k = deg a_k + deg q_k-1.
     """
-    return list(accumulate((a.degree for _, a in cf.pairs), initial=0))
+    return list(accumulate((len(a) - 1 for _, a in cf.pairs), initial=0))
 
 
-def residual_valuation(coeffs: list, p_k: Polynomial, q_k: Polynomial) -> int:
+def residual_valuation(coeffs: list, p_k: list, q_k: list) -> int:
     """||q_k g - p_k||; equals -(k+1) for a correct all-linear convergent.
 
     Raises InsufficientDepth when the residual is zero down to its floor,
     i.e. the expansion is too shallow to certify the valuation.
     """
-    if q_k.is_zero():
+    if not q_k:
         raise ValueError("multiplication by the zero polynomial discards the floor")
-    floor = q_k.degree - len(coeffs)  # q_k g is exact down to here
-    for d in range(max(q_k.degree - 1, p_k.degree), floor - 1, -1):
-        # g's coefficient of z^(d - j) is coeffs[j - d - 1], zero for j <= d
-        if sum(c * coeffs[j - d - 1] for j, c in enumerate(q_k.coeffs) if j > d) != p_k.coeff(d):
+    floor = len(q_k) - 1 - len(coeffs)  # q_k g is exact down to here
+    for d in range(max(len(q_k) - 2, len(p_k) - 1), floor - 1, -1):
+        # g's coefficient of z^(d - j) is coeffs[j - d - 1], zero for j <= d;
+        # p_k's of z^d is zero below degree 0 (a list index there wraps)
+        residual = sum(c * coeffs[j - d - 1] for j, c in enumerate(q_k) if j > d)
+        if residual != (p_k[d] if 0 <= d < len(p_k) else 0):
             return d
     raise InsufficientDepth(f"residual vanishes above floor {floor}: valuation not certified")
 

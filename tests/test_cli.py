@@ -96,6 +96,10 @@ PINNED_OUTPUT = {
         "c67e626cb3b2274a035fccc07db4254295f08aadc17c3762c34c214fecb20222", EMPTY),
     "cf-cap": ("cf -u=1 -v=-2 -n 12 --depth-cap 56", EXIT_MATH_FAILURE,
         "763aa332f92ed9005e3c9db24e0a9481ae7d188daccbca363c47322128608b1b", EMPTY),
+    # quotients of degree 3, 7 and 19 at depth 120, printed as their
+    # coefficient lists: NONLINEAR at 3
+    "cf-nonlinear-chain": ("cf -u=1 -v=-2 -n 28", EXIT_MATH_FAILURE,
+        "42d9709e7bb60f7b4bee8fc71b6b4a53845e8e1fadb69194e92b32b276608507", EMPTY),
     "cf-cap-below-first": ("cf -u 2 -v 3 -n 20 --depth-cap 10", EXIT_USAGE,
         EMPTY, "4d2fb91d4b9dd7c69c7bfa2b08d2547a65b5ffb87c70007fc8ade0a83193f920"),
     "check-covered": ("check -u 5 -v 1", EXIT_OK,

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from mahlercf.fields import (
     PRIMALITY_LIMIT,
-    ExactRational,
     as_scalar,
     check_odd_prime,
     is_prime,
@@ -24,9 +23,6 @@ rationals = st.fractions(
 
 
 class TestExactRational:
-    def test_is_fraction(self):
-        assert ExactRational is Fraction
-
     @given(rationals, rationals, rationals)
     def test_field_laws(self, a, b, c):
         assert a + b == b + a
@@ -192,5 +188,6 @@ class TestPrimality:
 
     def test_primes_between(self):
         assert primes_between(3, 20) == [3, 5, 7, 11, 13, 17, 19]
+        assert primes_between(3, 1) == []
         assert primes_between(3, 1000) == [n for n in range(3, 1001) if is_prime(n)]
         assert len(primes_between(3, 1000)) == 167

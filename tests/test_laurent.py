@@ -1,5 +1,5 @@
-"""Series expansion, polynomial arithmetic, the extraction oracle, and the
-exponent estimate."""
+"""Series expansion, the extraction oracle, convergents, and the exponent
+estimate."""
 
 import hashlib
 import json
@@ -13,9 +13,9 @@ from mahlercf.laurent import (
     CFExpansion,
     InsufficientDepth,
     NeedTwoTerms,
-    Polynomial,
     cf_extract,
     convergent_denominator_degrees,
+    convergent_is_g,
     convergents,
     expand_g,
     mu_estimate,
@@ -56,25 +56,11 @@ def reference_quotients(coeffs):
         floor = top - len(inv) + 1
         if floor > 0:
             raise InsufficientDepth("floor above degree 0: polynomial part not certified")
-        b = Polynomial(reversed(inv[:top + 1]))  # degrees 0..top
-        lam = b.leading
-        yield (1 / lam if lam_prev is None else 1 / (lam_prev * lam)), b.monic()
+        b = inv[top::-1]  # degrees 0..top
+        lam = b[-1]
+        yield (1 / lam if lam_prev is None else 1 / (lam_prev * lam)), [c / lam for c in b]
         lam_prev = lam
         coeffs = inv[top + 1:]  # degrees -1..floor: the next remainder
-
-
-class TestPolynomial:
-    def test_basics(self):
-        p = Polynomial([Fraction(1), Fraction(2)])  # 2z + 1
-        q = Polynomial([Fraction(0), Fraction(1)])  # z
-        assert (p * q).coeffs == [0, 1, 2]
-        assert (p + q).coeffs == [1, 3]
-        assert Polynomial([Fraction(0)]).degree == -1
-        assert p.scale(Fraction(1, 2)).coeffs == [Fraction(1, 2), 1]
-        assert p.monic().is_monic()
-
-    def test_trailing_zeros_trimmed(self):
-        assert Polynomial([Fraction(1), Fraction(0)]).degree == 0
 
 
 class TestExpand:
@@ -86,6 +72,10 @@ class TestExpand:
 
     def test_2_3_prefix(self):
         assert expand_g(2, 3, 4) == [1, 2, 3, 2]
+
+    def test_depth_zero_refused(self):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            expand_g(1, 1, 0)
 
     def test_truncation_consistency(self):
         rng = random.Random(3)
@@ -101,28 +91,31 @@ class TestExpand:
         for _ in range(4):
             u = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
             v = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-            product = Polynomial([1])
+            product = [1]
             for t in range(5):
                 step = 3**t
-                product = product * Polynomial([1] + [0] * (step - 1) + [u] + [0] * (step - 1) + [v])
+                factor = [1] + [0] * (step - 1) + [u] + [0] * (step - 1) + [v]
+                out = [0] * (len(product) + len(factor) - 1)
+                for i, x in enumerate(product):
+                    for j, y in enumerate(factor):
+                        out[i + j] += x * y
+                product = out
             for depth in range(1, 101):
-                assert expand_g(u, v, depth) == [
-                    product.coeff(m) for m in range(depth)
-                ], (u, v, depth)
+                assert expand_g(u, v, depth) == product[:depth], (u, v, depth)
 
 
 class TestExtract:
     def test_pure_z_inverse(self):
         cf = cf_extract(expand_g(0, 0, 10), 1)
-        assert convergents(cf, 0) == (Polynomial(), Polynomial([1]))
+        assert convergents(cf, 0) == ([], [1])
         assert cf.beta(1) == 1
-        assert cf.quotient(1) == Polynomial([0, 1])
+        assert cf.quotient(1) == [0, 1]
 
     def test_telescoping_pair_terminates(self):
         # g at (1,1) collapses to 1/(z-1): one quotient, then no certifiable
         # continuation at any depth
         cf = cf_extract(expand_g(1, 1, 30), 1)
-        assert cf.quotient(1) == Polynomial([Fraction(-1), Fraction(1)])
+        assert cf.quotient(1) == [-1, 1]
         for depth in (30, 120):
             with pytest.raises(InsufficientDepth):
                 cf_extract(expand_g(1, 1, depth), 2)
@@ -130,8 +123,10 @@ class TestExtract:
     def test_square_pair_nonlinear_quotient(self):
         # generic member of the v = u^2 family: second quotient is quadratic
         cf = cf_extract(expand_g(2, 4, 60), 2)
-        assert cf.quotient(2).degree == 2
+        assert len(cf.quotient(2)) - 1 == 2
         assert cf.first_nonlinear() == 2
+        with pytest.raises(ValueError, match="quotient 2 has degree 2, not 1"):
+            cf.linear_constants()
 
     def test_never_emits_zero_beta_or_non_monic(self):
         rng = random.Random(11)
@@ -142,7 +137,7 @@ class TestExtract:
             except InsufficientDepth:
                 continue
             assert all(b != 0 for b, _ in cf.pairs)
-            assert all(a.is_monic() for _, a in cf.pairs)
+            assert all(a[-1] == 1 for _, a in cf.pairs)
 
     def test_insufficient_depth_instead_of_junk(self):
         with pytest.raises(InsufficientDepth):
@@ -165,7 +160,7 @@ class TestExtract:
         g = expand_g(u, v, 120)
         cf = cf_extract(g, n)
         degrees = convergent_denominator_degrees(cf)
-        assert [(s, a.degree) for s, (_, a) in zip(degrees, cf.pairs) if a.degree >= 2] == chain
+        assert [(s, len(a) - 1) for s, (_, a) in zip(degrees, cf.pairs) if len(a) > 2] == chain
         with pytest.raises(InsufficientDepth):
             cf_extract(g, n + 1)
 
@@ -173,6 +168,18 @@ class TestExtract:
         doc = json.dumps(cf_extract(expand_g(2, 3, 404), 200).to_json_dict(), sort_keys=True)
         assert hashlib.sha256(doc.encode()).hexdigest() == (
             "dc2302b8d70a66af6454f40e4f265388590a0e047ea5a03c8ceb46a64ef12dd6"
+        )
+
+    def test_convergent_golden(self):
+        # the coefficients of p_28 and q_28 (q of degree 54) over the
+        # quotients of degree 3, 7 and 19
+        cf = cf_extract(expand_g(1, -2, 120), 28)
+        p, q = convergents(cf, 28)
+        doc = json.dumps({"cf": cf.to_json_dict(), "p": [str(c) for c in p],
+                          "q": [str(c) for c in q]}, sort_keys=True)
+        assert len(q) == 55
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "01134420067a8cdaca093d6d6828f20203136b61f66e4cd70bb42e0ba6b70d09"
         )
 
 
@@ -193,7 +200,7 @@ class TestAgainstInversionReference:
             if n <= len(ref_terms):
                 cf = cf_extract(coeffs, n)
                 assert cf.pairs == ref_terms[:n], n
-                assert convergents(cf, 0)[0] == Polynomial()
+                assert convergents(cf, 0)[0] == []
             else:
                 with pytest.raises(InsufficientDepth) as info:
                     cf_extract(coeffs, n)
@@ -269,10 +276,10 @@ class TestConvergents:
     def test_k0_and_k1(self):
         cf = cf_extract(expand_g(2, 3, 24), 5)
         p0, q0 = convergents(cf, 0)
-        assert p0 == Polynomial() and q0 == Polynomial([1])
+        assert p0 == [] and q0 == [1]
         p1, q1 = convergents(cf, 1)
         # g has no polynomial part, so p1 = beta_1, q1 = a_1
-        assert p1 == Polynomial([cf.beta(1)])
+        assert p1 == [cf.beta(1)]
         assert q1 == cf.quotient(1)
 
     def test_out_of_range(self):
@@ -280,11 +287,17 @@ class TestConvergents:
         with pytest.raises(IndexError):
             convergents(cf, 6)
 
+    def test_convergent_is_g_refuses(self):
+        # no quotient leaves p = 0; five quotients of (2, 3) pass the degree
+        # and leading-coefficient checks but not the functional equation
+        assert not convergent_is_g(2, 3, CFExpansion([]))
+        assert not convergent_is_g(2, 3, cf_extract(expand_g(2, 3, 24), 5))
+
     @pytest.mark.parametrize("u, v, n, depth", [(2, 3, 20, 44), (2, 4, 3, 60)])
     def test_degrees_are_convergent_denominator_degrees(self, u, v, n, depth):
         cf = cf_extract(expand_g(u, v, depth), n)
         degrees = convergent_denominator_degrees(cf)
-        assert degrees == [convergents(cf, k)[1].degree for k in range(n + 1)]
+        assert degrees == [len(convergents(cf, k)[1]) - 1 for k in range(n + 1)]
 
     def test_degrees_increment_for_linear_runs(self):
         n = 30
@@ -295,7 +308,7 @@ class TestConvergents:
 class TestResidualValuation:
     def test_k0_trivial(self):
         g = expand_g(5, 1, 10)
-        assert residual_valuation(g, Polynomial(), Polynomial([1])) == -1
+        assert residual_valuation(g, [], [1]) == -1
 
     def test_5_1_k10(self):
         g = expand_g(5, 1, 30)
@@ -319,12 +332,12 @@ class TestResidualValuation:
 
     def test_zero_q_raises(self):
         with pytest.raises(ValueError):
-            residual_valuation(expand_g(5, 1, 10), Polynomial([1]), Polynomial())
+            residual_valuation(expand_g(5, 1, 10), [1], [])
 
     def test_p_above_q_g_gives_deg_p(self):
         # q g = g is led by z^-1, so the residual is led by -z^2
         g = expand_g(5, 1, 10)
-        assert residual_valuation(g, Polynomial([0, 0, 1]), Polynomial([1])) == 2
+        assert residual_valuation(g, [0, 0, 1], [1]) == 2
 
     def test_shallow_floor_raises(self):
         g = expand_g(2, 3, 8)
@@ -339,7 +352,7 @@ class TestJsonSerialization:
         cf = cf_extract(expand_g(Fraction(1, 2), 3, 24), 6)
         doc = json.loads(json.dumps(cf.to_json_dict()))
         assert [Fraction(t["beta"]) for t in doc["terms"]] == [b for b, _ in cf.pairs]
-        assert [[Fraction(c) for c in t["a"]] for t in doc["terms"]] == [a.coeffs for _, a in cf.pairs]
+        assert [[Fraction(c) for c in t["a"]] for t in doc["terms"]] == [a for _, a in cf.pairs]
 
 
 class TestMuEstimate:

@@ -93,6 +93,10 @@ class TestExpectedSequences:
         with pytest.raises(ValueError, match="negative"):
             verify_lemma(spec)
 
+    def test_unknown_family_refused(self):
+        with pytest.raises(ValueError, match="unknown pattern family 8"):
+            expected_sequences(LemmaSpec(lemma=8, p=7, u=1, v=1), 9)
+
     def test_family1_first_nine(self):
         # u^2 = 3, v = 1 at p = 11: u = 5
         spec = spec_for(1, 11, u=5)

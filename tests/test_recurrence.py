@@ -92,6 +92,13 @@ class TestInit:
         run = init_run(2, 3)
         assert isinstance(run.beta(3), Fraction)
 
+    def test_index_outside_the_run_raises(self):
+        run = RecurrenceRun(2, 3)
+        with pytest.raises(IndexError, match="alpha index 0 outside 1..3"):
+            run.alpha(0)
+        with pytest.raises(IndexError, match="beta index 4 outside 1..3"):
+            run.beta(4)
+
     @pytest.mark.parametrize("n", [-1, 0, 1, 2])
     def test_length_at_most_three_is_the_seeded_run(self, n):
         for u, v, p in [(2, 3, kernels.Q), (1, 1, kernels.Q), (5, 1, 11), (1, 3, 5)]:

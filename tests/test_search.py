@@ -65,6 +65,10 @@ class TestDensity:
         assert rep.total == 1 and rep.covered == 0
         assert rep.fraction == 0
 
+    def test_negative_bound_refused(self):
+        with pytest.raises(ValueError, match="bound must be >= 0"):
+            density(-1, 10)
+
     def test_small_grid_against_direct_check(self):
         # independent recount via the per-pair decision procedure
         B, pm = 12, 20
