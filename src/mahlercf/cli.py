@@ -16,8 +16,6 @@ clearly-labelled convenience fields.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import functools
 import itertools
 import json
@@ -109,7 +107,10 @@ def _write(doc, fh) -> None:
     if isinstance(doc, dict):
         chunks = itertools.chain(json.JSONEncoder(indent=2).iterencode(doc), "\n")
     else:
-        # writerow returns what its file's write returns: here the row's text
+        # imported here, so only `scan --format csv` loads csv; writerow
+        # returns what its file's write returns: here the row's text
+        import csv
+
         chunks = map(csv.writer(argparse.Namespace(write=str)).writerow, doc)
     while piece := "".join(itertools.islice(chunks, 4096)):
         fh.write(piece)
@@ -259,11 +260,11 @@ def cmd_check(args):
     if args.p is not None:
         _require_prime(args.p)
         witnesses = conditions.check_pair(u, v, args.p)
-        doc.update(p=args.p, witnesses=[dataclasses.asdict(w) for w in witnesses])
+        doc.update(p=args.p, witnesses=[w._asdict() for w in witnesses])
     else:
         w = conditions.covered_up_to(u, v, args.primes_max)
         witnesses = [w] if w else []
-        doc.update(primes_max=args.primes_max, witness=dataclasses.asdict(w) if w else None)
+        doc.update(primes_max=args.primes_max, witness=w._asdict() if w else None)
     doc["covered"] = bool(witnesses)
     return doc, EXIT_OK if witnesses else EXIT_NEGATIVE
 
@@ -271,6 +272,8 @@ def cmd_check(args):
 def cmd_scan(args):
     _require_at_most("-N", args.horizon, MAX_HORIZON)
     _require_at_most("--p-max", args.p_max, MAX_SCAN_PRIME)
+    if args.p_min > args.p_max:
+        raise SystemExit(f"--p-min {args.p_min} is above --p-max {args.p_max}")
     results = search.scan_range(args.p_min, args.p_max, args.horizon)
     if args.format == "csv":
         header = [("p", "u", "v", "first_zero")]

@@ -28,14 +28,12 @@ hand-written tests because deciding from the enumeration (candidate roots
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .fields import check_odd_prime, poly_roots_mod_p, primes_between
 
 
-@dataclass(frozen=True)
-class ConditionWitness:
+class ConditionWitness(NamedTuple):
     """One satisfied condition with the parameters that certify it."""
 
     case: str

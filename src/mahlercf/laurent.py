@@ -37,7 +37,6 @@ the last entry is nonzero and a list of length n has degree n - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, zip_longest
 from math import gcd, lcm
@@ -61,11 +60,11 @@ class NeedTwoTerms(ValueError):
     """The exponent estimate needs at least two denominator degrees."""
 
 
-@dataclass
 class CFExpansion:
     """Renormalised continued fraction: constant numerators over monic quotients."""
 
-    pairs: list  # [(beta_i, a_i)], 1-based by position
+    def __init__(self, pairs: list):
+        self.pairs = pairs  # [(beta_i, a_i)], 1-based by position
 
     def __len__(self):
         return len(self.pairs)

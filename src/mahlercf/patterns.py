@@ -32,7 +32,6 @@ beta_{9k+7} = v/delta).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
 from . import recurrence
@@ -40,8 +39,7 @@ from .conditions import ConditionWitness, iter_witnesses
 from .fields import check_odd_prime
 
 
-@dataclass(frozen=True)
-class LemmaSpec:
+class LemmaSpec(NamedTuple):
     """One verifiable pattern instance: family, prime, parameters, depth."""
 
     lemma: int  # 1..7, pattern family of condition C<lemma>
@@ -58,16 +56,14 @@ class LemmaSpec:
         return 9 * self.blocks + 9
 
 
-@dataclass
-class Violation:
+class Violation(NamedTuple):
     index: int
     sequence: str  # "alpha" or "beta"
     expected: int
     actual: int
 
 
-@dataclass
-class LemmaReport:
+class LemmaReport(NamedTuple):
     spec: LemmaSpec
     passed: bool
     first_violation: Optional[Violation] = None
@@ -89,9 +85,9 @@ class LemmaReport:
             "pass": self.passed,
         }
         if self.first_violation is not None:
-            out["violation"] = asdict(self.first_violation)
+            out["violation"] = self.first_violation._asdict()
         if self.run_failure is not None:
-            out["run_failure"] = asdict(self.run_failure)
+            out["run_failure"] = self.run_failure._asdict()
         return out
 
 

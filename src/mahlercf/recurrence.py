@@ -39,7 +39,7 @@ first_beta_zero asks ``kernels.first_zero``, which keeps no history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernels
 from .fields import as_scalar, check_odd_prime
@@ -51,8 +51,7 @@ class ExtendAfterFailure(RuntimeError):
     """Raised when extending a run that already failed."""
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     index: int
     cause: str  # always BETA_ZERO
 

@@ -17,9 +17,8 @@ the GIL, so threads would add overhead and no speed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import kernels
 from .conditions import satisfying_pairs
@@ -31,22 +30,18 @@ if TYPE_CHECKING:
 DEFAULT_HORIZON = 10_000
 
 
-@dataclass
 class ScanResult:
     """Survivors vs condition pairs for one prime at one horizon."""
 
-    p: int
-    max_index: int
-    first_zero: numpy.ndarray  # (p, p) int32; 0 marks a survivor
-    survivors: set = field(init=False)
-    condition_pairs: set = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, p: int, max_index: int, first_zero: numpy.ndarray):
+        self.p = p
+        self.max_index = max_index
+        self.first_zero = first_zero  # (p, p) int32; 0 marks a survivor
         self.survivors = {
-            (u, v) for u, row in enumerate(self.first_zero.tolist())
+            (u, v) for u, row in enumerate(first_zero.tolist())
             for v, idx in enumerate(row) if not idx
         }
-        self.condition_pairs = set(satisfying_pairs(self.p))
+        self.condition_pairs = set(satisfying_pairs(p))
 
     @property
     def extra_survivors(self) -> set:
@@ -86,8 +81,7 @@ def scan_range(p_min: int, p_max: int, max_index: int = DEFAULT_HORIZON) -> list
     return [scan_prime(p, max_index) for p in primes_between(max(3, p_min), p_max)]
 
 
-@dataclass
-class DensityReport:
+class DensityReport(NamedTuple):
     bound: int
     prime_max: int
     total: int

@@ -6,9 +6,16 @@ import importlib
 import importlib.util
 import inspect
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import mahlercf
+from mahlercf.conditions import ConditionWitness
+from mahlercf.patterns import LemmaReport, LemmaSpec, Violation
+from mahlercf.recurrence import BETA_ZERO, Failure
+from mahlercf.search import DensityReport
 
 
 def test_every_exported_name_resolves():
@@ -41,3 +48,33 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
             if not inspect.isfunction(vars(owner).get(attr) if owner is not None else None):
                 missing.append(f"{layer}.{dotted}")
     assert missing == []
+
+
+SPEC = LemmaSpec(lemma=7, p=7, u=1, v=2, delta=2, blocks=5)
+
+# Each value record with one of its fields.
+RECORDS = [
+    (ConditionWitness("C3", 7, 2, 0, phi=2), "u"),
+    (Failure(2, BETA_ZERO), "index"),
+    (SPEC, "blocks"),
+    (Violation(2, "alpha", 0, 5), "actual"),
+    (LemmaReport(SPEC, passed=False, run_failure=Failure(2, BETA_ZERO)), "passed"),
+    (DensityReport(12, 20, 625, 512), "covered"),
+]
+
+
+@pytest.mark.parametrize("record,field", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
+def test_records_are_read_only(record, field):
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
+    assert getattr(record, field) == before
+
+
+def test_record_properties_and_equality():
+    assert ConditionWitness("C3", 7, 2, 0, phi=2).pair == (2, 0)
+    assert SPEC.depth == 54
+    assert DensityReport(12, 20, 625, 512).fraction == Fraction(512, 625)
+    assert Failure(2, BETA_ZERO) == Failure(2, "beta_zero") != Failure(3, BETA_ZERO)
+    # the records are tuples: equal to a plain tuple of their fields
+    assert Failure(2, BETA_ZERO) == (2, "beta_zero")

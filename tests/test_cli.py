@@ -124,6 +124,8 @@ PINNED_OUTPUT = {
         "ce0e917b43b9a2f6a33c3e9337522d2b2bef1b8d892774876d15f66050de0190", EMPTY),
     "scan-horizon": ("scan --p-min 3 --p-max 50 -N 1000001", EXIT_USAGE,
         EMPTY, "2f0a0e29b85c87c5c320c6727b133062e4a9be9efc44fff00b6e01ad8d33165e"),
+    "scan-reversed-range": ("scan --p-min 20 --p-max 10", EXIT_USAGE,
+        EMPTY, "728645c107e4d0072a972828a497bf04540bdb3d007db55bad959b48f99bc4f5"),
     "density": ("density -B 12 --primes-max 20", EXIT_OK,
         "4cea8a92d0f1bf6c912c472d367d80818527a009f73ec0e2650d59493ff15827", EMPTY),
     "density-negative": ("density -B -1", EXIT_USAGE,
@@ -498,6 +500,13 @@ class TestScan:
         )
         assert err.count("\n") == 1
 
+    def test_reversed_prime_range_is_usage_error(self, monkeypatch, capsys):
+        err = refused_before_any_run(
+            monkeypatch, capsys, ["scan", "--p-min", "20", "--p-max", "10"],
+            (search, "scan_range"), expect="--p-min 20 is above --p-max 10",
+        )
+        assert err.count("\n") == 1
+
     def test_largest_p_max_is_accepted(self, monkeypatch, capsys):
         # the scan itself is stubbed: it would run every pair of every prime
         # up to the limit to the default horizon
@@ -722,6 +731,29 @@ for argv in (["check", "-u", "2", "-v", "0", "-p", "7"],
 grid = cli.search.scan_prime(7, 100).first_zero
 import numpy
 assert isinstance(grid, numpy.ndarray) and grid.dtype == numpy.int32
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cold_start_loads_no_dataclasses_or_csv(self, tmp_path):
+        # a fresh interpreter: no command loads dataclasses, and csv loads
+        # only when a scan writes CSV
+        script = f"""
+import sys
+import mahlercf.cli as cli
+from mahlercf import *
+unwanted = {{"dataclasses", "csv"}}
+assert not unwanted & set(sys.modules), "import"
+out = ["--out", {str(tmp_path / "out")!r}]
+for argv in (["check", "-u", "2", "-v", "0", "-p", "7"],
+             ["cf", "-u", "2", "-v", "3", "-n", "5"],
+             ["recurrence", "-u", "5", "-v", "1", "-p", "11", "-n", "9"],
+             ["verify-lemma", "--lemma", "7", "-p", "7", "-K", "5"],
+             ["scan", "--p-min", "3", "--p-max", "7", "-N", "100"]):
+    assert cli.main([*argv, *out]) == 0, argv
+    assert not unwanted & set(sys.modules), argv
+assert cli.main(["scan", "--p-min", "3", "--p-max", "7", "-N", "100", "--format", "csv", *out]) == 0
+assert "csv" in sys.modules and "dataclasses" not in sys.modules
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
