@@ -12,7 +12,6 @@ integer-pair coverage density.
 from .conditions import ConditionWitness, check_pair, covered, covered_up_to, satisfying_pairs
 from .fields import is_prime, poly_roots_mod_p, primes_between
 from .laurent import (
-    CFExpansion,
     InsufficientDepth,
     NeedTwoTerms,
     cf_extract,
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BETA_ZERO",
-    "CFExpansion",
     "ConditionWitness",
     "DensityReport",
     "ExtendAfterFailure",

@@ -149,6 +149,16 @@ def _residue(name: str, x: Fraction, p: int) -> int:
 # commands
 # ---------------------------------------------------------------------------
 
+def _printed(values):
+    """Rationals as exact 'num/den' strings; a usage error past Python's
+    int-to-str digit limit. cf and mu print u and v this way before any run,
+    so an unprintable input is refused up front."""
+    try:
+        return [str(x) for x in values]
+    except ValueError as exc:
+        raise SystemExit(f"an exact value is too long to print: {exc}")
+
+
 def _history(u, v, p, n: int):
     """The run of (u, v) to n indices over Q (p None) or F_p, and its first
     n alphas and betas as printed, with "ok" or the failure as its status.
@@ -162,11 +172,8 @@ def _history(u, v, p, n: int):
     run = recurrence.run_mod_p(u, v, p, m) if p else recurrence.run_over_q(u, v, m)
     while True:
         alphas, betas = run.alphas[:n], run.betas[:n]
-        if not p:  # rationals print as exact 'num/den' strings
-            try:
-                alphas, betas = [str(x) for x in alphas], [str(x) for x in betas]
-            except ValueError as exc:  # Python's int-to-str digit limit
-                raise SystemExit(f"an exact value is too long to print: {exc}")
+        if not p:
+            alphas, betas = _printed(alphas), _printed(betas)
         if m == n or not run.ok:
             break
         m = min(3 * m, n)
@@ -186,25 +193,6 @@ def cmd_recurrence(args):
     run, history = _history(u, v, p, n)
     doc = {"u": u if p else str(u), "v": v if p else str(v), "field": field, "n": n, **history}
     return doc, EXIT_OK if run.ok else EXIT_MATH_FAILURE
-
-
-def _extract_with_retry(u, v, terms: int, depth: int, depth_cap: int):
-    """expand + extract from the given depth, doubling it on
-    InsufficientDepth up to the cap.
-
-    Returns (cf, depth). Raises InsufficientDepth once the cap is hit, or at
-    once when the quotients certified before a zero remainder are all of g
-    (a rational g): every deeper depth then raises the same refusal.
-    """
-    while True:
-        try:
-            return laurent.cf_extract(laurent.expand_g(u, v, depth), terms), depth
-        except InsufficientDepth as exc:
-            if depth >= depth_cap or (
-                exc.certified is not None and laurent.convergent_is_g(u, v, exc.certified)
-            ):
-                raise
-            depth = min(2 * depth, depth_cap)
 
 
 def _depths(args) -> tuple[int, int]:
@@ -227,11 +215,12 @@ def _depths(args) -> tuple[int, int]:
 def cmd_cf(args):
     n = args.n
     first, depth_cap = _depths(args)
+    u, v = _printed((args.u, args.v))
     run, history = _history(args.u, args.v, None, n)
     failed = None if run.ok else f"RECURRENCE FAILED at {run.failure.index}"
-    doc = {"u": str(args.u), "v": str(args.v), "n": n}
+    doc = {"u": u, "v": v, "n": n}
     try:
-        cf, depth = _extract_with_retry(args.u, args.v, n, first, depth_cap)
+        cf, depth = laurent.cf_of_g(args.u, args.v, n, first, depth_cap)
     except InsufficientDepth as exc:
         doc.update(recurrence=history, extraction=f"depth exhausted at cap {depth_cap}: {exc}")
         if failed:
@@ -239,16 +228,19 @@ def cmd_cf(args):
             # depth: the continued fraction may simply terminate (rational g)
             return {**doc, "verdict": failed}, EXIT_MATH_FAILURE
         return {**doc, "verdict": "DEPTH_EXHAUSTED"}, EXIT_NO_PRECISION
-    doc.update(expansion_depth=depth, recurrence=history, extracted=cf.to_json_dict())
+    doc.update(expansion_depth=depth, recurrence=history, extracted={
+        "a0": [],  # g has no polynomial part
+        "terms": [{"beta": str(b), "a": [str(c) for c in a]} for b, a in cf],
+    })
 
-    nonlinear = cf.first_nonlinear()
-    if nonlinear is not None:
-        return {**doc, "verdict": f"NONLINEAR at {nonlinear}"}, EXIT_MATH_FAILURE
+    nonlinear = [i for i, (_, a) in enumerate(cf, 1) if len(a) != 2]
+    if nonlinear:
+        return {**doc, "verdict": f"NONLINEAR at {nonlinear[0]}"}, EXIT_MATH_FAILURE
     if failed and run.failure.index <= n:
         return {**doc, "verdict": failed}, EXIT_MATH_FAILURE
-    alphas = cf.linear_constants()
-    for i in range(1, n + 1):
-        if cf.beta(i) != run.beta(i) or alphas[i - 1] != run.alpha(i):
+    # each quotient is z + alpha_i, [alpha_i, 1]
+    for i, (beta, (alpha, _)) in enumerate(cf, 1):
+        if beta != run.beta(i) or alpha != run.alpha(i):
             return {**doc, "verdict": f"DISAGREE at {i}"}, EXIT_MATH_FAILURE
     return {**doc, "verdict": "AGREE"}, EXIT_OK
 
@@ -332,8 +324,9 @@ def cmd_verify_lemma(args):
 def cmd_mu(args):
     n = args.n
     first, depth_cap = _depths(args)
+    u, v = _printed((args.u, args.v))
     try:
-        cf, depth = _extract_with_retry(args.u, args.v, n, first, depth_cap)
+        cf, depth = laurent.cf_of_g(args.u, args.v, n, first, depth_cap)
     except InsufficientDepth as exc:
         doc = {"verdict": "DEPTH_EXHAUSTED", "detail": str(exc), "depth_cap": depth_cap}
         return doc, EXIT_NO_PRECISION
@@ -346,8 +339,8 @@ def cmd_mu(args):
     except laurent.NeedTwoTerms as exc:
         raise SystemExit(f"window [{lo}, {hi}] too small: {exc}")
     doc = {
-        "u": str(args.u),
-        "v": str(args.v),
+        "u": u,
+        "v": v,
         "terms": n,
         "expansion_depth": depth,
         "degrees": degrees,

@@ -32,7 +32,9 @@ priori.
 Quotients and convergents are coefficient lists, ascending by degree, []
 for zero. No leading coefficient ever cancels (a quotient is monic, and in
 p_k = a_k p_k-1 + beta_k p_k-2 the first term has the higher degree), so
-the last entry is nonzero and a list of length n has degree n - 1.
+the last entry is nonzero and a list of length n has degree n - 1. A
+continued fraction is the list of its (beta_i, a_i) pairs, term i at
+position i - 1; a linear quotient z + alpha_i is [alpha_i, 1].
 """
 
 from __future__ import annotations
@@ -48,54 +50,16 @@ class InsufficientDepth(ArithmeticError):
     """The truncation floor is too shallow to certify the requested result.
 
     ``certified`` is set when a remainder is zero to its floor: the
-    CFExpansion of the quotients certified before it.
+    [(beta_i, a_i)] pairs certified before it, as cf_extract returns them.
     """
 
-    def __init__(self, message: str, certified: CFExpansion | None = None):
+    def __init__(self, message: str, certified: list | None = None):
         super().__init__(message)
         self.certified = certified
 
 
 class NeedTwoTerms(ValueError):
     """The exponent estimate needs at least two denominator degrees."""
-
-
-class CFExpansion:
-    """Renormalised continued fraction: constant numerators over monic quotients."""
-
-    def __init__(self, pairs: list):
-        self.pairs = pairs  # [(beta_i, a_i)], 1-based by position
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def beta(self, i: int):
-        return self.pairs[i - 1][0]
-
-    def quotient(self, i: int) -> list:
-        return self.pairs[i - 1][1]
-
-    def all_linear(self) -> bool:
-        return self.first_nonlinear() is None
-
-    def first_nonlinear(self) -> int | None:
-        for i, (_, a) in enumerate(self.pairs, start=1):
-            if len(a) != 2:
-                return i
-        return None
-
-    def linear_constants(self) -> list:
-        """The alpha_i with a_i = z + alpha_i; raises on a nonlinear quotient."""
-        bad = self.first_nonlinear()
-        if bad is not None:
-            raise ValueError(f"quotient {bad} has degree {len(self.quotient(bad)) - 1}, not 1")
-        return [a[0] for _, a in self.pairs]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "a0": [],  # g has no polynomial part
-            "terms": [{"beta": str(b), "a": [str(c) for c in a]} for b, a in self.pairs],
-        }
 
 
 def expand_g(u, v, depth: int) -> list:
@@ -118,7 +82,7 @@ def expand_g(u, v, depth: int) -> list:
     return c
 
 
-def cf_extract(coeffs: list, max_terms: int) -> CFExpansion:
+def cf_extract(coeffs: list, max_terms: int) -> list:
     """Classical quotient extraction, renormalised to (beta_i, monic a_i),
     from a series as expand_g returns it: coeffs[m] at z^(-1-m), the floor
     at -len(coeffs).
@@ -149,9 +113,7 @@ def cf_extract(coeffs: list, max_terms: int) -> CFExpansion:
     for _ in range(max_terms):
         lead = next((j for j, c in enumerate(cur) if c), None)
         if lead is None:
-            raise InsufficientDepth(
-                "cannot invert a series that is zero to its floor", CFExpansion(pairs)
-            )
+            raise InsufficientDepth("cannot invert a series that is zero to its floor", pairs)
         cur, deg = cur[lead:], lead + 1
         # long division reads cur down to deg degrees below its valuation
         n = len(cur)
@@ -183,7 +145,7 @@ def cf_extract(coeffs: list, max_terms: int) -> CFExpansion:
         pairs.append((Fraction(num * c0, den * q[0]), monic[::-1]))
         num, den = content, c0**deg * q[0]
         prev, cur = cur, rest
-    return CFExpansion(pairs)
+    return pairs
 
 
 def _mul(a: list, b: list) -> list:
@@ -197,13 +159,13 @@ def _mul(a: list, b: list) -> list:
     return out
 
 
-def convergents(cf: CFExpansion, k: int):
+def convergents(cf: list, k: int):
     """(p_k, q_k) via p_n = a_n p_{n-1} + beta_n p_{n-2} (same for q), as
     coefficient lists."""
-    if k < 0 or k > len(cf.pairs):
-        raise IndexError(f"convergent {k} outside 0..{len(cf.pairs)}")
+    if k < 0 or k > len(cf):
+        raise IndexError(f"convergent {k} outside 0..{len(cf)}")
     p_prev, p, q_prev, q = [1], [], [], [1]
-    for beta, a in cf.pairs[:k]:
+    for beta, a in cf[:k]:
         # a_n p_{n-1} is the longer list, except at p_1 = beta_1 (p_0 = 0)
         p, p_prev = [x + beta * y for x, y in zip_longest(_mul(a, p), p_prev, fillvalue=0)], p
         q, q_prev = [x + beta * y for x, y in zip_longest(_mul(a, q), q_prev, fillvalue=0)], q
@@ -217,7 +179,7 @@ def _cubed(q: list) -> list:
     return out
 
 
-def convergent_is_g(u, v, cf: CFExpansion) -> bool:
+def convergent_is_g(u, v, cf: list) -> bool:
     """True when the last convergent P/Q of cf is g itself, a proof that
     the continued fraction of g ends there.
 
@@ -233,13 +195,32 @@ def convergent_is_g(u, v, cf: CFExpansion) -> bool:
     return _mul(p, _cubed(q)) == _mul(_mul(step, _cubed(p)), q)
 
 
-def convergent_denominator_degrees(cf: CFExpansion) -> list[int]:
+def cf_of_g(u, v, terms: int, depth: int, depth_cap: int):
+    """The first terms (beta_i, a_i) of g, extracted from expand_g at the
+    given depth and, on InsufficientDepth, at twice it, up to the cap.
+
+    Returns (cf, depth). Raises InsufficientDepth once the cap is hit, or at
+    once when the quotients certified before a zero remainder are all of g
+    (a rational g): every deeper depth then raises the same refusal.
+    """
+    while True:
+        try:
+            return cf_extract(expand_g(u, v, depth), terms), depth
+        except InsufficientDepth as exc:
+            if depth >= depth_cap or (
+                exc.certified is not None and convergent_is_g(u, v, exc.certified)
+            ):
+                raise
+            depth = min(2 * depth, depth_cap)
+
+
+def convergent_denominator_degrees(cf: list) -> list[int]:
     """[deg q_0, deg q_1, ..., deg q_n] as prefix sums of the deg a_i.
 
     In q_k = a_k q_k-1 + beta_k q_k-2 the degrees rise strictly (deg a_k >= 1)
     and beta_k is a nonzero constant, so deg q_k = deg a_k + deg q_k-1.
     """
-    return list(accumulate((len(a) - 1 for _, a in cf.pairs), initial=0))
+    return list(accumulate((len(a) - 1 for _, a in cf), initial=0))
 
 
 def residual_valuation(coeffs: list, p_k: list, q_k: list) -> int:

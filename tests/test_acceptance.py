@@ -54,11 +54,10 @@ def test_criterion_1_oracle_equivalence():
     terms = 25
     for (u, v), run in _sample_linear_pairs(20, terms):
         cf = cf_extract(expand_g(u, v, 2 * terms + 4), terms)
-        assert cf.all_linear(), (u, v)
-        alphas = cf.linear_constants()
-        for i in range(1, terms + 1):
-            assert cf.beta(i) == run.beta(i), (u, v, i)
-            assert alphas[i - 1] == run.alpha(i), (u, v, i)
+        assert len(cf) == terms and all(len(a) == 2 for _, a in cf), (u, v)
+        for i, (beta, (alpha, _)) in enumerate(cf, 1):
+            assert beta == run.beta(i), (u, v, i)
+            assert alpha == run.alpha(i), (u, v, i)
     _report("1 oracle equivalence", "20 pairs x 25 terms, exact")
 
 

@@ -2,6 +2,7 @@
 leave a stale export behind, and every function the benchmark traces
 exists."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -78,3 +79,30 @@ def test_record_properties_and_equality():
     assert Failure(2, BETA_ZERO) == Failure(2, "beta_zero") != Failure(3, BETA_ZERO)
     # the records are tuples: equal to a plain tuple of their fields
     assert Failure(2, BETA_ZERO) == (2, "beta_zero")
+
+
+def test_readme_quick_start_states_what_it_gives():
+    # README's library example runs line by line, and each value a comment
+    # states (up to its first colon; "..." ends a float rounded to the
+    # places shown) is the line's value
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    lines = block.splitlines()
+    namespace, stated = {}, []
+    for node in ast.parse(block).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        claim = lines[node.lineno - 1].split("#", 1)[1].split(":", 1)[0].strip()
+        stated.append(claim)
+        if claim.endswith("..."):
+            shown = claim[:-3]
+            assert f"{value:.{len(shown) - shown.index('.') - 1}f}" == shown, claim
+        else:
+            assert value == eval(claim, {"Fraction": Fraction}), claim
+    assert stated == [
+        "Fraction(4), Fraction(11)", "(Fraction(11), [Fraction(4), Fraction(1)])", "20",
+        "['C1']", "set()", "0.8198...",
+    ]

@@ -442,14 +442,21 @@ class TestCf:
 
     def test_disagreement_exits_2(self, monkeypatch, capsys):
         # the run of (2, 5) against the extraction of (2, 3): alpha_1 = -2
-        # and beta_1 = 1 agree, beta_2 = u^2 - v does not
+        # and beta_1 = 1 agree, beta_2 = u^2 - v does not. The run of
+        # (-2, 3): betas are even in u and alphas odd, so alpha_1 = 2 differs
+        # from the start while every beta agrees
         run_over_q = recurrence.run_over_q
-        monkeypatch.setattr(recurrence, "run_over_q", lambda u, v, n: run_over_q(2, 5, n))
-        code, doc = run_json(capsys, "cf", "-u=2", "-v=3", "-n", "5")
-        assert code == EXIT_MATH_FAILURE
-        assert list(doc) == ["u", "v", "n", "expansion_depth", "recurrence", "extracted", "verdict"]
-        assert doc["recurrence"]["status"] == "ok"
-        assert doc["verdict"] == "DISAGREE at 2"
+        for pair, first, betas_agree in [((2, 5), 2, False), ((-2, 3), 1, True)]:
+            monkeypatch.setattr(recurrence, "run_over_q", lambda u, v, n: run_over_q(*pair, n))
+            code, doc = run_json(capsys, "cf", "-u=2", "-v=3", "-n", "5")
+            assert code == EXIT_MATH_FAILURE
+            assert list(doc) == [
+                "u", "v", "n", "expansion_depth", "recurrence", "extracted", "verdict",
+            ]
+            assert doc["recurrence"]["status"] == "ok"
+            assert doc["verdict"] == f"DISAGREE at {first}"
+            betas = [t["beta"] for t in doc["extracted"]["terms"]]
+            assert (doc["recurrence"]["betas"] == betas) is betas_agree
 
     def test_deep_run_certifies_at_default_depth(self, capsys):
         code, doc = run_json(capsys, "cf", "-u=2", "-v=3", "-n", "101")
@@ -594,6 +601,27 @@ def test_primes_max_above_limit_is_usage_error(monkeypatch, capsys, command):
 def test_jobs_flag_is_accepted_and_ignored(capsys, argv):
     # --jobs survives for old command lines; every run is serial
     assert run_cli(capsys, *argv, "--jobs", "2") == run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["mu", "-u", "1e5000", "-v", "1", "-n", "3"],
+    ["mu", "-u", "1", "-v", "1e5000", "-n", "3"],
+    ["cf", "-u", "1", "-v", "1e5000", "-n", "1"],
+], ids=["mu-u", "mu-v", "cf"])
+def test_unprintable_input_is_refused_before_any_run(monkeypatch, capsys, argv):
+    # 10^5000 is past the default int-to-str limit of 4300 digits; with -n 1
+    # no printed alpha or beta of cf holds v
+    err = refused_before_any_run(
+        monkeypatch, capsys, argv, (laurent, "expand_g"), (recurrence, "run_over_q"),
+        expect="mahlercf: an exact value is too long to print: ",
+    )
+    assert err.count("\n") == 1
+
+
+def test_unprintable_input_prints_as_a_residue(capsys):
+    # mod p the document holds residues, so the size of u does not matter
+    code, doc = run_json(capsys, "recurrence", "-u", "1e5000", "-v", "1", "-p", "7", "-n", "3")
+    assert (code, doc["u"]) == (EXIT_OK, 10**5000 % 7)
 
 
 class TestVerifyLemma:

@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+from mahlercf.cli import main
 from mahlercf.kernels import run_history
 from mahlercf.laurent import (
-    CFExpansion,
     InsufficientDepth,
     NeedTwoTerms,
     cf_extract,
@@ -22,6 +22,11 @@ from mahlercf.laurent import (
     residual_valuation,
 )
 from mahlercf.recurrence import run_over_q
+
+
+def extracted(cf):
+    """The "extracted" object that `mahlercf cf` prints for the pairs cf."""
+    return {"a0": [], "terms": [{"beta": str(b), "a": [str(c) for c in a]} for b, a in cf]}
 
 
 def reference_inverse(coeffs):
@@ -108,25 +113,25 @@ class TestExtract:
     def test_pure_z_inverse(self):
         cf = cf_extract(expand_g(0, 0, 10), 1)
         assert convergents(cf, 0) == ([], [1])
-        assert cf.beta(1) == 1
-        assert cf.quotient(1) == [0, 1]
+        beta, a = cf[0]
+        assert beta == 1
+        assert a == [0, 1]
 
     def test_telescoping_pair_terminates(self):
         # g at (1,1) collapses to 1/(z-1): one quotient, then no certifiable
         # continuation at any depth
         cf = cf_extract(expand_g(1, 1, 30), 1)
-        assert cf.quotient(1) == [-1, 1]
+        assert cf[0][1] == [-1, 1]
         for depth in (30, 120):
             with pytest.raises(InsufficientDepth):
                 cf_extract(expand_g(1, 1, depth), 2)
 
     def test_square_pair_nonlinear_quotient(self):
         # generic member of the v = u^2 family: second quotient is quadratic
+        # (the CLI reports it as NONLINEAR at 2, see tests/test_cli.py)
         cf = cf_extract(expand_g(2, 4, 60), 2)
-        assert len(cf.quotient(2)) - 1 == 2
-        assert cf.first_nonlinear() == 2
-        with pytest.raises(ValueError, match="quotient 2 has degree 2, not 1"):
-            cf.linear_constants()
+        assert len(cf[1][1]) - 1 == 2
+        assert [i for i, (_, a) in enumerate(cf, 1) if len(a) != 2] == [2]
 
     def test_never_emits_zero_beta_or_non_monic(self):
         rng = random.Random(11)
@@ -136,8 +141,8 @@ class TestExtract:
                 cf = cf_extract(expand_g(u, v, 50), 15)
             except InsufficientDepth:
                 continue
-            assert all(b != 0 for b, _ in cf.pairs)
-            assert all(a[-1] == 1 for _, a in cf.pairs)
+            assert all(b != 0 for b, _ in cf)
+            assert all(a[-1] == 1 for _, a in cf)
 
     def test_insufficient_depth_instead_of_junk(self):
         with pytest.raises(InsufficientDepth):
@@ -160,12 +165,12 @@ class TestExtract:
         g = expand_g(u, v, 120)
         cf = cf_extract(g, n)
         degrees = convergent_denominator_degrees(cf)
-        assert [(s, len(a) - 1) for s, (_, a) in zip(degrees, cf.pairs) if len(a) > 2] == chain
+        assert [(s, len(a) - 1) for s, (_, a) in zip(degrees, cf) if len(a) > 2] == chain
         with pytest.raises(InsufficientDepth):
             cf_extract(g, n + 1)
 
     def test_deep_golden(self):
-        doc = json.dumps(cf_extract(expand_g(2, 3, 404), 200).to_json_dict(), sort_keys=True)
+        doc = json.dumps(extracted(cf_extract(expand_g(2, 3, 404), 200)), sort_keys=True)
         assert hashlib.sha256(doc.encode()).hexdigest() == (
             "dc2302b8d70a66af6454f40e4f265388590a0e047ea5a03c8ceb46a64ef12dd6"
         )
@@ -175,7 +180,7 @@ class TestExtract:
         # quotients of degree 3, 7 and 19
         cf = cf_extract(expand_g(1, -2, 120), 28)
         p, q = convergents(cf, 28)
-        doc = json.dumps({"cf": cf.to_json_dict(), "p": [str(c) for c in p],
+        doc = json.dumps({"cf": extracted(cf), "p": [str(c) for c in p],
                           "q": [str(c) for c in q]}, sort_keys=True)
         assert len(q) == 55
         assert hashlib.sha256(doc.encode()).hexdigest() == (
@@ -199,7 +204,7 @@ class TestAgainstInversionReference:
         for n in range(1, depth + 1):
             if n <= len(ref_terms):
                 cf = cf_extract(coeffs, n)
-                assert cf.pairs == ref_terms[:n], n
+                assert cf == ref_terms[:n], n
                 assert convergents(cf, 0)[0] == []
             else:
                 with pytest.raises(InsufficientDepth) as info:
@@ -233,11 +238,10 @@ class TestOracleEquivalence:
         n = 20
         run = run_over_q(2, 3, n)
         cf = cf_extract(expand_g(2, 3, 2 * n + 4), n)
-        assert cf.all_linear()
-        alphas = cf.linear_constants()
-        for i in range(1, n + 1):
-            assert cf.beta(i) == run.beta(i)
-            assert alphas[i - 1] == run.alpha(i)
+        assert len(cf) == n and all(len(a) == 2 for _, a in cf)
+        for i, (beta, (alpha, _)) in enumerate(cf, 1):
+            assert beta == run.beta(i)
+            assert alpha == run.alpha(i)
 
     def test_random_pairs(self):
         rng = random.Random(99)
@@ -251,25 +255,24 @@ class TestOracleEquivalence:
             if not run.ok:
                 continue
             cf = cf_extract(expand_g(u, v, 2 * n + 4), n)
-            assert cf.all_linear()
-            alphas = cf.linear_constants()
-            assert all(cf.beta(i) == run.beta(i) for i in range(1, n + 1))
-            assert all(alphas[i - 1] == run.alpha(i) for i in range(1, n + 1))
+            assert all(len(a) == 2 for _, a in cf)
+            assert [b for b, _ in cf] == [run.beta(i) for i in range(1, n + 1)]
+            assert [a[0] for _, a in cf] == [run.alpha(i) for i in range(1, n + 1)]
             done += 1
 
     def test_prime_field_mode(self):
         # the Q oracle reduced mod p must match the mod-p recurrence
         n, p = 12, 11
         cf = cf_extract(expand_g(5, 1, 2 * n + 4), n)
-        assert cf.all_linear()
+        assert all(len(a) == 2 for _, a in cf)
 
         def reduce(x):
             return x.numerator * pow(x.denominator, -1, p) % p
 
         alphas, betas, idx = run_history(5, 1, p, n)
         assert idx == 0
-        assert [reduce(cf.beta(i)) for i in range(1, n + 1)] == betas[1:]
-        assert [reduce(a) for a in cf.linear_constants()] == alphas[1:]
+        assert [reduce(b) for b, _ in cf] == betas[1:]
+        assert [reduce(a[0]) for _, a in cf] == alphas[1:]
 
 
 class TestConvergents:
@@ -279,8 +282,8 @@ class TestConvergents:
         assert p0 == [] and q0 == [1]
         p1, q1 = convergents(cf, 1)
         # g has no polynomial part, so p1 = beta_1, q1 = a_1
-        assert p1 == [cf.beta(1)]
-        assert q1 == cf.quotient(1)
+        assert p1 == [cf[0][0]]
+        assert q1 == cf[0][1]
 
     def test_out_of_range(self):
         cf = cf_extract(expand_g(2, 3, 24), 5)
@@ -290,7 +293,7 @@ class TestConvergents:
     def test_convergent_is_g_refuses(self):
         # no quotient leaves p = 0; five quotients of (2, 3) pass the degree
         # and leading-coefficient checks but not the functional equation
-        assert not convergent_is_g(2, 3, CFExpansion([]))
+        assert not convergent_is_g(2, 3, [])
         assert not convergent_is_g(2, 3, cf_extract(expand_g(2, 3, 24), 5))
 
     @pytest.mark.parametrize("u, v, n, depth", [(2, 3, 20, 44), (2, 4, 3, 60)])
@@ -348,11 +351,13 @@ class TestResidualValuation:
 
 
 class TestJsonSerialization:
-    def test_cf_round_trip_exact(self):
+    def test_cf_round_trip_exact(self, capsys):
+        # the "extracted" object of a cf document reads back to the pairs
         cf = cf_extract(expand_g(Fraction(1, 2), 3, 24), 6)
-        doc = json.loads(json.dumps(cf.to_json_dict()))
-        assert [Fraction(t["beta"]) for t in doc["terms"]] == [b for b, _ in cf.pairs]
-        assert [[Fraction(c) for c in t["a"]] for t in doc["terms"]] == [a for _, a in cf.pairs]
+        main(["cf", "-u=1/2", "-v=3", "-n", "6"])
+        doc = json.loads(capsys.readouterr().out)["extracted"]
+        assert [Fraction(t["beta"]) for t in doc["terms"]] == [b for b, _ in cf]
+        assert [[Fraction(c) for c in t["a"]] for t in doc["terms"]] == [a for _, a in cf]
 
 
 class TestMuEstimate:
