@@ -60,8 +60,12 @@ MAX_DEPTH = 64 * 206
 # already takes ~14 s and holds 784140 pairs, and the sieve grows with it.
 MAX_PRIMES_MAX = 10**6
 
-# Largest coverage grid, in cells: `density -B` marks a (2B+1)^2 byte grid
-# (~40 GB at B = 10**5), so this admits B <= 4999 at ~100 MB.
+# Largest coverage box, in cells: B <= 4999. It bounds time, not memory:
+# `density` counts the box one band of 256 rows at a time, and a fresh
+# `density -B 4999 --primes-max 1000` takes ~0.3 s at ~31 MB peak RSS
+# (2-core box, Python 3.11). At --primes-max 10**6 each of the 784140
+# condition pairs is tested once per band, and the count at B = 4999 takes
+# ~1.1 s in-process after ~5 s of building the tables.
 MAX_DENSITY_CELLS = 10**8
 
 # Largest `scan --p-max`: every prime keeps its p x p grid and its survivor
@@ -151,8 +155,8 @@ def _residue(name: str, x: Fraction, p: int) -> int:
 
 def _printed(values):
     """Rationals as exact 'num/den' strings; a usage error past Python's
-    int-to-str digit limit. cf and mu print u and v this way before any run,
-    so an unprintable input is refused up front."""
+    int-to-str digit limit. cf, mu and recurrence over Q print u and v this
+    way before any run, so an unprintable input is refused up front."""
     try:
         return [str(x) for x in values]
     except ValueError as exc:
@@ -186,12 +190,13 @@ def cmd_recurrence(args):
     n, p = args.n, args.p
     _require_at_most("-n", n, MAX_HORIZON)
     if p is None:
-        u, v, field = args.u, args.v, "Q"
+        u, v = args.u, args.v
+        shown = _printed((u, v))
     else:
         _require_prime(p)
-        u, v, field = _residue("u", args.u, p), _residue("v", args.v, p), f"F_{p}"
+        shown = u, v = _residue("u", args.u, p), _residue("v", args.v, p)
     run, history = _history(u, v, p, n)
-    doc = {"u": u if p else str(u), "v": v if p else str(v), "field": field, "n": n, **history}
+    doc = dict(zip("uv", shown), field=f"F_{p}" if p else "Q", n=n, **history)
     return doc, EXIT_OK if run.ok else EXIT_MATH_FAILURE
 
 

@@ -9,7 +9,8 @@ at a finite horizon may die later.
 
 The density experiment never runs the recurrence: each condition pair
 (u0, v0) of a prime p covers every integer pair congruent to it mod p, a
-lattice that is marked in one step over the whole box.
+lattice that ``kernels.density_count`` marks one band of rows at a time,
+over the rows u >= 0 of the box, which mirror the rows u < 0.
 
 Every scan and count runs serially: the mod-p runs are pure Python and hold
 the GIL, so threads would add overhead and no speed.
@@ -108,8 +109,17 @@ def condition_tables(prime_max: int) -> dict:
 
 
 def density(bound: int, prime_max: int) -> DensityReport:
-    """Exact coverage count over the integer square [-bound, bound]^2."""
+    """Exact coverage count over the integer square [-bound, bound]^2.
+
+    Every condition table is closed under u -> -u: C1 lists both square
+    roots of 3; C2 takes 2w + 1 over both roots w of w^2 + w + 1, which
+    sum to -1, so the two values are negatives of each other; C3-C5 and C7
+    list both signs, and C6 has u = 0. So rows u and -u of the box are
+    alike, and the count marks the rows 0..bound only, half the cells.
+    """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    covered = kernels.density_count(-bound, bound, bound, condition_tables(prime_max))
+    tables = condition_tables(prime_max)
+    half = kernels.density_count(1, bound, bound, tables)
+    covered = 2 * half + kernels.density_count(0, 0, bound, tables)
     return DensityReport(bound, prime_max, (2 * bound + 1) ** 2, covered)

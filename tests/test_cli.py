@@ -569,8 +569,9 @@ class TestDensity:
         )
 
     def test_largest_grid_is_accepted(self, monkeypatch, capsys):
-        # 4999 is the largest B whose (2B+1)^2 grid fits the limit; the run
-        # itself is stubbed, since it would mark a ~100 MB grid
+        # 4999 is the largest B whose (2B+1)^2 box fits the limit; the run
+        # itself is stubbed, since it takes ~0.1 s (a fresh
+        # `density -B 4999 --primes-max 1000` ~0.3 s at ~31 MB peak RSS)
         monkeypatch.setattr(
             search, "density", lambda b, m: search.DensityReport(b, m, (2 * b + 1) ** 2, 0)
         )
@@ -607,10 +608,11 @@ def test_jobs_flag_is_accepted_and_ignored(capsys, argv):
     ["mu", "-u", "1e5000", "-v", "1", "-n", "3"],
     ["mu", "-u", "1", "-v", "1e5000", "-n", "3"],
     ["cf", "-u", "1", "-v", "1e5000", "-n", "1"],
-], ids=["mu-u", "mu-v", "cf"])
+    ["recurrence", "-u", "1", "-v", "1e5000", "-n", "1"],
+], ids=["mu-u", "mu-v", "cf", "recurrence"])
 def test_unprintable_input_is_refused_before_any_run(monkeypatch, capsys, argv):
     # 10^5000 is past the default int-to-str limit of 4300 digits; with -n 1
-    # no printed alpha or beta of cf holds v
+    # no printed alpha or beta of cf or recurrence holds v
     err = refused_before_any_run(
         monkeypatch, capsys, argv, (laurent, "expand_g"), (recurrence, "run_over_q"),
         expect="mahlercf: an exact value is too long to print: ",

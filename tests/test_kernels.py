@@ -441,19 +441,47 @@ def test_scan_grid_full_horizon():
     assert kernels.scan_grid(13, 10_000).tolist() == _per_pair_grid(13, 10_000)
 
 
+def _probed_count(u_lo, u_hi, b, tables):
+    """The covered pairs of the slab, each pair tested against every table."""
+    members = {p: set(pairs) for p, pairs in tables.items()}
+    return sum(
+        1
+        for u in range(u_lo, u_hi + 1)
+        for v in range(-b, b + 1)
+        if any((u % p, v % p) in members[p] for p in members)
+    )
+
+
 def test_density_count_matches_membership_probe():
     # slab starts -61 and 17 are not multiples of any prime in the tables
     tables = search.condition_tables(40)
-    members = {p: set(pairs) for p, pairs in tables.items()}
-    b = 45
     for u_lo, u_hi in ((-61, 16), (17, 59)):
-        direct = sum(
-            1
-            for u in range(u_lo, u_hi + 1)
-            for v in range(-b, b + 1)
-            if any((u % p, v % p) in members[p] for p in members)
-        )
-        assert kernels.density_count(u_lo, u_hi, b, tables) == direct
+        assert kernels.density_count(u_lo, u_hi, 45, tables) == _probed_count(u_lo, u_hi, 45, tables)
+
+
+@pytest.mark.parametrize("u_lo, u_hi", [(-61, 16), (17, 59), (3, 9), (5, 5), (-8, 13)])
+def test_density_count_across_bands(monkeypatch, u_lo, u_hi):
+    # with 7-row bands the slabs of 78, 43 and 22 rows end in a partial
+    # band, (3, 9) fills exactly one and (5, 5) is one row; a pair of a
+    # prime above 7 marks some bands and is skipped in the others
+    monkeypatch.setattr(kernels, "_BAND", 7)
+    tables = search.condition_tables(40)
+    assert kernels.density_count(u_lo, u_hi, 30, tables) == _probed_count(u_lo, u_hi, 30, tables)
+
+
+def test_density_count_holds_one_band():
+    """The count marks one reused band of ``_BAND`` rows, not the box: the
+    whole box at B = 1000 would be ~3.8 MiB of bools, a band ~0.5 MiB."""
+    tables = search.condition_tables(1000)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        covered = kernels.density_count(-1000, 1000, 1000, tables)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert covered == 3282378
+    assert peak - before < 2**20
 
 
 def test_scan_grid_diagonal_dies_at_two():

@@ -88,6 +88,16 @@ class TestDensity:
         fractions = [density(b, pm).fraction for pm in (3, 7, 13, 31)]
         assert fractions == sorted(fractions)
 
+    @pytest.mark.parametrize("bound, covered", [(30, 3056), (100, 33100), (4999, 81956994)])
+    def test_pinned_counts(self, bound, covered):
+        # 4999 is the largest bound the CLI admits (cli.MAX_DENSITY_CELLS)
+        assert density(bound, 1000).covered == covered
+
+    def test_tables_are_closed_under_negating_u(self):
+        # density counts the rows u >= 0 and doubles the rows u > 0
+        for p, pairs in condition_tables(1000).items():
+            assert sorted((-u % p, v) for u, v in pairs) == sorted(pairs), p
+
     def test_witness_pair_never_covered(self):
         for p, pairs in condition_tables(1000).items():
             assert (2 % p, -2 % p) not in pairs
