@@ -22,14 +22,16 @@ in linear time. Three drivers call it:
   (median 4) and a median of 4 items on each level above, so a survivor
   costs O(log N) lookups, not N / 9;
 - ``scan_grid`` first runs each pair memo-free to index 729 = 3^6 (or
-  its horizon, if lower), a history tripled by each ``_blocks`` call.
-  Nearly every pair of a scan dies there (mean death index ~2p), and a
-  memo would cost it a key, a lookup and a store per unit that never
-  repeats.
+  its horizon, if lower), in one ``_blocks`` call. Nearly every pair of
+  a scan dies there (mean death index ~2p), and a memo would cost it a
+  key, a lookup and a store per unit that never repeats. The prime's
+  condition pairs, which survive, go straight to ``first_zero``.
 
 The coverage count marks each condition pair's lattice with strided
 slices in one boolean band of ``_BAND`` rows, reused down the box, so it
-holds O(B) cells, not the (2B + 1)^2 of the box. numpy is imported only
+holds O(B) cells, not the (2B + 1)^2 of the box. ``density_bands`` files
+a pair of a prime of ``_BAND`` or more under the bands its rows meet, so
+the count visits it once, not once per band. numpy is imported only
 inside the two kernels that use arrays, ``scan_grid`` and
 ``density_count``; importing this module loads none.
 
@@ -87,13 +89,13 @@ _TABLE_BOUND = 2**10
 _INVERSES: dict[int, list] = {}
 
 # Rows of the box ``density_count`` marks at a time, in one reused boolean
-# band of _BAND x (2B + 1) cells (2.6 MB at the largest admitted B = 4999).
-# Each band tests every condition pair once, so fewer rows cost time: at
-# 128 the count at B = 1000 took ~10 ms in-process, one grid of the whole
-# box ~5 ms. More rows cost memory: at 512 the benchmark's grid run
-# (B = 1000) peaked at 35.44 MB RSS, against 35.06 at 256 and 38.32 with
-# the whole box.
-_BAND = 256
+# band of _BAND x (2B + 1) cells (1.3 MB at the largest admitted B = 4999).
+# Each band tests the pairs of the primes below _BAND, so fewer rows cost
+# time; more rows cost memory, and the band sets the peak of the
+# benchmark's grid run (B = 1000, primes <= 1000). Against 256 rows, 128
+# took the count from ~3.9 to ~4.5 ms and that peak from ~35.05 to ~34.55
+# MB RSS; 256 rows had peaked at 35.44 MB with 512 and 38.32 with the box.
+_BAND = 128
 
 
 def _inverse(p):
@@ -328,37 +330,65 @@ def first_zero(u: int, v: int, p: int, max_index: int) -> int:
 
 
 def _scan_pair(u, v, p, n):
-    """``first_zero(u, v, p, n)``, first run memo-free to index
-    min(n, ``_PROBE_INDEX``) in one growing history: each ``_blocks``
-    call triples it, 9 -> 27 -> 81 -> 243 -> 729. Only a pair alive there
-    goes on to ``first_zero``, from index 1."""
+    """``first_zero(u, v, p, n)``, first run memo-free to the block
+    boundary at or past min(n, ``_PROBE_INDEX``) by one ``_blocks`` call
+    from slot 4, which block 2 reads. Only a pair alive at 729 goes on to
+    ``first_zero``, from index 1."""
     field, alphas, betas, carry = _start(u, v, p)
-    hist = alphas, betas
-    top = min(n, _PROBE_INDEX)
-    while carry is not None and len(betas) <= top:
-        carry = _blocks(hist, len(betas) // 3 + 1, len(betas), carry, field, hist)
+    if carry is not None:
+        top = min(n, _PROBE_INDEX)
+        hist = alphas, betas
+        carry = _blocks(hist, 4, (top + (-top) % 3) // 3 + 1, carry, field, hist)
     if carry is None:
         index = len(betas) - 1
         return index if index <= n else 0
     return 0 if len(betas) > n else first_zero(u, v, p, n)
 
 
-def scan_grid(p: int, n: int) -> numpy.ndarray:
+def scan_grid(p: int, n: int, known=()) -> numpy.ndarray:
     """First-zero index for every pair in F_p^2 (0 = survivor), shape (p, p).
 
-    Rows u <= (p - 1)/2 run pair by pair through ``_scan_pair``; row -u
-    mod p is the same row, by the parity in u of the module docstring.
-    Nearly every pair dies early (module docstring), so only the few alive
-    at ``_PROBE_INDEX`` (77 of the 5394 pairs of the half grids of the
-    primes 3..47, 69 of them survivors to 10^4) pay for ``first_zero``'s
-    tree, which takes a survivor to the horizon in O(log n) lookups.
+    Rows u <= (p - 1)/2 run pair by pair, a pair of ``known`` (the
+    prime's condition pairs, which survive) by ``first_zero`` and any other
+    through ``_scan_pair``; row -u mod p is the same row, by the parity in
+    u of the module docstring. Nearly every pair dies early (module
+    docstring), so only the 69 condition pairs of the half grids of the
+    primes 3..47 and 8 of their 5325 other pairs, those alive at
+    ``_PROBE_INDEX``, pay for ``first_zero``'s tree, which takes a survivor
+    to the horizon in O(log n) lookups.
     """
     import numpy as np
 
     first = np.zeros((p, p), dtype=np.int32)
     for u in range(p // 2 + 1):
-        first[u] = first[-u] = [_scan_pair(u, v, p, n) for v in range(p)]
+        first[u] = first[-u] = [
+            first_zero(u, v, p, n) if (u, v) in known else _scan_pair(u, v, p, n)
+            for v in range(p)
+        ]
     return first
+
+
+def density_bands(u_lo: int, u_hi: int, tables: dict) -> list:
+    """The slab u_lo..u_hi as bands of ``_BAND`` rows: (first row, last
+    row, the tables that can mark the band) for each, in order.
+
+    ``tables`` maps each prime p to its condition pairs (u0, v0) in F_p^2.
+    A band keeps every pair of a prime below ``_BAND``. A pair of a larger
+    prime has at most one row in a band, and most have none, so one pass
+    files it under the bands its rows meet: a count visits it once, not
+    once per band. A slab of one band keeps ``tables`` as it is.
+    """
+    tops = range(u_lo, u_hi + 1, _BAND)
+    filed = [tables] * len(tops)
+    if len(tops) > 1:
+        small = {p: pairs for p, pairs in tables.items() if p < _BAND}
+        filed = [dict(small) for _ in tops]
+        rows = u_hi - u_lo + 1
+        for p, pairs in tables.items():
+            for u0, v0 in pairs if p >= _BAND else ():
+                for row in range((u0 - u_lo) % p, rows, p):
+                    filed[row // _BAND].setdefault(p, []).append((u0, v0))
+    return [(top, min(top + _BAND - 1, u_hi), band) for top, band in zip(tops, filed)]
 
 
 def density_count(u_lo: int, u_hi: int, b: int, tables: dict) -> int:
@@ -366,21 +396,20 @@ def density_count(u_lo: int, u_hi: int, b: int, tables: dict) -> int:
 
     ``tables`` maps each prime p to its condition pairs (u0, v0) in F_p^2;
     an integer pair is covered when it reduces to one of them for some p.
-    The slab is counted ``_BAND`` rows at a time in one reused grid: each
-    residue pair marks its lattice in a band by one strided slice, and a
-    pair whose first row lies past the band, as most pairs of a large p
-    do, costs a comparison and no slice.
+    The slab is counted a band of ``density_bands`` at a time in one
+    reused grid: each residue pair of the band's tables marks its lattice
+    in the band by one strided slice, and a pair whose first row lies past
+    the band costs a comparison and no slice.
     """
     import numpy as np
 
-    rows = u_hi - u_lo + 1
-    band = np.empty((min(_BAND, rows), 2 * b + 1), dtype=bool)
+    band = np.empty((min(_BAND, u_hi - u_lo + 1), 2 * b + 1), dtype=bool)
     covered = 0
-    for top in range(0, rows, _BAND):
-        grid = band[: rows - top]
+    for start, stop, band_tables in density_bands(u_lo, u_hi, tables):
+        grid = band[: stop - start + 1]
         grid[:] = False
-        start, height = u_lo + top, len(grid)
-        for p, pairs in tables.items():
+        height = len(grid)
+        for p, pairs in band_tables.items():
             for u0, v0 in pairs:
                 first = (u0 - start) % p
                 if first < height:

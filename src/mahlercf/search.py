@@ -12,8 +12,13 @@ The density experiment never runs the recurrence: each condition pair
 lattice that ``kernels.density_count`` marks one band of rows at a time,
 over the rows u >= 0 of the box, which mirror the rows u < 0.
 
-Every scan and count runs serially: the mod-p runs are pure Python and hold
-the GIL, so threads would add overhead and no speed.
+With ``jobs`` >= 2, ``scan_range`` and ``density`` hand their work to that
+many forked workers (``workers``): a task is one prime, largest first, or
+one band of ``kernels.density_bands`` or row 0 of the box, over condition
+tables built before the fork. A worker files the pairs into bands once,
+at its first band, so the caller holds no more than a serial count does.
+The results are the serial ones; without ``jobs`` every scan and count
+runs serially, in-process.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ DEFAULT_HORIZON = 10_000
 class ScanResult:
     """Survivors vs condition pairs for one prime at one horizon."""
 
-    def __init__(self, p: int, max_index: int, first_zero: numpy.ndarray):
+    def __init__(self, p: int, max_index: int, first_zero: numpy.ndarray, condition_pairs: set):
         self.p = p
         self.max_index = max_index
         self.first_zero = first_zero  # (p, p) int32; 0 marks a survivor
@@ -42,7 +47,7 @@ class ScanResult:
             (u, v) for u, row in enumerate(first_zero.tolist())
             for v, idx in enumerate(row) if not idx
         }
-        self.condition_pairs = set(satisfying_pairs(p))
+        self.condition_pairs = condition_pairs
 
     @property
     def extra_survivors(self) -> set:
@@ -73,13 +78,19 @@ class ScanResult:
 def scan_prime(p: int, max_index: int = DEFAULT_HORIZON) -> ScanResult:
     """Run every pair in F_p^2 to its first beta zero or the horizon."""
     check_odd_prime(p)
-    grid = kernels.scan_grid(p, max_index)
-    return ScanResult(p, max_index, grid)
+    pairs = set(satisfying_pairs(p))
+    return ScanResult(p, max_index, kernels.scan_grid(p, max_index, pairs), pairs)
 
 
-def scan_range(p_min: int, p_max: int, max_index: int = DEFAULT_HORIZON) -> list[ScanResult]:
+def scan_range(p_min: int, p_max: int, max_index: int = DEFAULT_HORIZON,
+               jobs: int = 1) -> list[ScanResult]:
     """scan_prime for every prime in [p_min, p_max], ascending."""
-    return [scan_prime(p, max_index) for p in primes_between(max(3, p_min), p_max)]
+    primes = primes_between(max(3, p_min), p_max)
+    if jobs < 2:
+        return [scan_prime(p, max_index) for p in primes]
+    from . import workers
+
+    return workers.run(lambda p: scan_prime(p, max_index), primes[::-1], jobs)[::-1]
 
 
 class DensityReport(NamedTuple):
@@ -108,7 +119,7 @@ def condition_tables(prime_max: int) -> dict:
     return {p: list(satisfying_pairs(p)) for p in primes_between(3, prime_max)}
 
 
-def density(bound: int, prime_max: int) -> DensityReport:
+def density(bound: int, prime_max: int, jobs: int = 1) -> DensityReport:
     """Exact coverage count over the integer square [-bound, bound]^2.
 
     Every condition table is closed under u -> -u: C1 lists both square
@@ -120,6 +131,23 @@ def density(bound: int, prime_max: int) -> DensityReport:
     if bound < 0:
         raise ValueError("bound must be >= 0")
     tables = condition_tables(prime_max)
-    half = kernels.density_count(1, bound, bound, tables)
-    covered = 2 * half + kernels.density_count(0, 0, bound, tables)
+    if jobs < 2:
+        half = kernels.density_count(1, bound, bound, tables)
+        covered = 2 * half + kernels.density_count(0, 0, bound, tables)
+    else:
+        from . import workers
+
+        bands = []  # each worker files the pairs once, at its first band
+
+        def count(k):
+            if k is None:  # row 0
+                return kernels.density_count(0, 0, bound, tables)
+            if not bands:
+                bands.extend(kernels.density_bands(1, bound, tables))
+            u_lo, u_hi, band_tables = bands[k]
+            return kernels.density_count(u_lo, u_hi, bound, band_tables)
+
+        rows = range(1, bound + 1, kernels._BAND)
+        counts = workers.run(count, [*range(len(rows)), None], jobs)
+        covered = 2 * sum(counts[:-1]) + counts[-1]
     return DensityReport(bound, prime_max, (2 * bound + 1) ** 2, covered)

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from mahlercf import conditions, laurent, recurrence, search
+from mahlercf import conditions, kernels, laurent, recurrence, search
 from mahlercf.cli import (
     EXIT_MATH_FAILURE,
     EXIT_NEGATIVE,
@@ -24,6 +25,7 @@ from mahlercf.cli import (
     MAX_DENSITY_CELLS,
     MAX_DEPTH,
     MAX_HORIZON,
+    MAX_JOBS,
     MAX_PRIMES_MAX,
     MAX_SCAN_PRIME,
     main,
@@ -517,7 +519,7 @@ class TestScan:
     def test_largest_p_max_is_accepted(self, monkeypatch, capsys):
         # the scan itself is stubbed: it would run every pair of every prime
         # up to the limit to the default horizon
-        monkeypatch.setattr(search, "scan_range", lambda lo, hi, n: [])
+        monkeypatch.setattr(search, "scan_range", lambda lo, hi, n, jobs: [])
         code, doc = run_json(capsys, "scan", "--p-min", "3", "--p-max", str(MAX_SCAN_PRIME))
         assert (code, doc["p_max"]) == (EXIT_OK, MAX_SCAN_PRIME)
 
@@ -573,7 +575,7 @@ class TestDensity:
         # itself is stubbed, since it takes ~0.1 s (a fresh
         # `density -B 4999 --primes-max 1000` ~0.3 s at ~31 MB peak RSS)
         monkeypatch.setattr(
-            search, "density", lambda b, m: search.DensityReport(b, m, (2 * b + 1) ** 2, 0)
+            search, "density", lambda b, m, jobs: search.DensityReport(b, m, (2 * b + 1) ** 2, 0)
         )
         code, doc = run_json(capsys, "density", "-B", "4999", "--primes-max", "10")
         assert code == EXIT_OK
@@ -596,12 +598,52 @@ def test_primes_max_above_limit_is_usage_error(monkeypatch, capsys, command):
 
 
 @pytest.mark.parametrize("argv", [
-    ["scan", "--p-min", "3", "--p-max", "13", "-N", "500"],
-    ["density", "-B", "35", "--primes-max", "35"],
+    ["scan", "--p-min", "3", "--p-max", "30", "-N", "10000"],
+    ["scan", "--p-min", "3", "--p-max", "30", "-N", "10000", "--format", "csv"],
+    ["scan", "--p-min", "3", "--p-max", "30", "-N", "1"],
+    ["scan", "--p-min", "3", "--p-max", "30", "-N", "1", "--format", "csv"],
+    ["scan", "--p-min", "24", "--p-max", "28"],
+    ["scan", "--p-min", "13", "--p-max", "13"],
+    ["density", "-B", "0"],
+    ["density", "-B", "1"],
+    ["density", "-B", "2"],
+    ["density", "-B", "5"],
+    ["density", "-B", "30"],
+], ids=["scan-json", "scan-csv", "scan-json-N1", "scan-csv-N1", "scan-no-prime",
+        "scan-one-prime", "density-B0", "density-B1", "density-B2", "density-B5", "density-B30"])
+def test_outputs_do_not_change_with_the_worker_count(capsys, argv):
+    # --jobs 2 and 3 fork that many workers, or one per task if there are
+    # fewer (one prime, or at B = 0 row 0 alone); row 0 is its own task,
+    # counted once, and the rows 1..B twice
+    serial = run_cli(capsys, *argv)
+    assert serial[0] == EXIT_OK
+    for jobs in ("1", "2", "3"):
+        assert run_cli(capsys, *argv, "--jobs", jobs) == serial, jobs
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--p-min", "3", "--p-max", "13"],
+    ["density", "-B", "12"],
 ], ids=["scan", "density"])
-def test_jobs_flag_is_accepted_and_ignored(capsys, argv):
-    # --jobs survives for old command lines; every run is serial
-    assert run_cli(capsys, *argv, "--jobs", "2") == run_cli(capsys, *argv)
+def test_jobs_above_limit_is_refused_before_any_fork(monkeypatch, capsys, argv):
+    err = refused_before_any_run(
+        monkeypatch, capsys, [*argv, "--jobs", str(MAX_JOBS + 1)],
+        (os, "fork"), (search, "scan_range"), (search, "density"),
+        expect=f"--jobs {MAX_JOBS + 1} is above the limit of {MAX_JOBS}",
+    )
+    assert err.count("\n") == 1
+
+
+def test_a_failing_jobs_command_leaves_no_process(monkeypatch, capsys):
+    # the scan raises inside the workers: main raises it, after reaping them
+    def fail(p, n, known=()):
+        raise ArithmeticError(f"no grid at {p}")
+
+    monkeypatch.setattr(kernels, "scan_grid", fail)
+    with pytest.raises(ArithmeticError, match="no grid at"):
+        main(["scan", "--p-min", "3", "--p-max", "13", "--jobs", "2"])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("argv", [
@@ -766,24 +808,29 @@ assert isinstance(grid, numpy.ndarray) and grid.dtype == numpy.int32
         assert proc.returncode == 0, proc.stderr
 
     def test_cold_start_loads_no_dataclasses_or_csv(self, tmp_path):
-        # a fresh interpreter: no command loads dataclasses, and csv loads
-        # only when a scan writes CSV
+        # a fresh interpreter: no command loads dataclasses, csv loads only
+        # when a scan writes CSV, and pickle and the worker module only with
+        # --jobs 2 or more
         script = f"""
 import sys
 import mahlercf.cli as cli
 from mahlercf import *
-unwanted = {{"dataclasses", "csv"}}
+unwanted = {{"dataclasses", "csv", "pickle", "mahlercf.workers"}}
 assert not unwanted & set(sys.modules), "import"
 out = ["--out", {str(tmp_path / "out")!r}]
 for argv in (["check", "-u", "2", "-v", "0", "-p", "7"],
              ["cf", "-u", "2", "-v", "3", "-n", "5"],
              ["recurrence", "-u", "5", "-v", "1", "-p", "11", "-n", "9"],
-             ["verify-lemma", "--lemma", "7", "-p", "7", "-K", "5"],
-             ["scan", "--p-min", "3", "--p-max", "7", "-N", "100"]):
+             ["verify-lemma", "--lemma", "7", "-p", "7", "-K", "5"]):
     assert cli.main([*argv, *out]) == 0, argv
     assert not unwanted & set(sys.modules), argv
+unwanted.remove("pickle")  # numpy, which a scan loads, imports pickle
+assert cli.main(["scan", "--p-min", "3", "--p-max", "7", "-N", "100", *out]) == 0
+assert not unwanted & set(sys.modules), "scan"
 assert cli.main(["scan", "--p-min", "3", "--p-max", "7", "-N", "100", "--format", "csv", *out]) == 0
-assert "csv" in sys.modules and "dataclasses" not in sys.modules
+assert "csv" in sys.modules and not {{"dataclasses", "mahlercf.workers"}} & set(sys.modules)
+assert cli.main(["density", "-B", "3", "--jobs", "2", *out]) == 0
+assert "mahlercf.workers" in sys.modules
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -441,6 +441,23 @@ def test_scan_grid_full_horizon():
     assert kernels.scan_grid(13, 10_000).tolist() == _per_pair_grid(13, 10_000)
 
 
+@pytest.mark.parametrize("n", [1, 9, 100, 10_000])
+def test_scan_grid_runs_known_pairs_straight_to_first_zero(monkeypatch, n):
+    # a known pair skips the memo-free probe, with the same first zero
+    probed, probe = [], kernels._scan_pair
+
+    def scan_pair(u, v, p, n):
+        probed.append((u, v))
+        return probe(u, v, p, n)
+
+    monkeypatch.setattr(kernels, "_scan_pair", scan_pair)
+    known = set(conditions.satisfying_pairs(19))
+    grid = kernels.scan_grid(19, n, known)
+    assert grid.tolist() == _per_pair_grid(19, n)
+    assert known and not known & set(probed)
+    assert len(probed) + sum(u <= 9 for u, _ in known) == 10 * 19
+
+
 def _probed_count(u_lo, u_hi, b, tables):
     """The covered pairs of the slab, each pair tested against every table."""
     members = {p: set(pairs) for p, pairs in tables.items()}
@@ -469,9 +486,31 @@ def test_density_count_across_bands(monkeypatch, u_lo, u_hi):
     assert kernels.density_count(u_lo, u_hi, 30, tables) == _probed_count(u_lo, u_hi, 30, tables)
 
 
+@pytest.mark.parametrize("u_lo, u_hi", [(-61, 16), (3, 9), (5, 4)])
+def test_density_bands_file_each_large_pair_where_it_marks(monkeypatch, u_lo, u_hi):
+    # with 7-row bands: a band keeps every pair of 3 and 5, and a pair of a
+    # prime above 7 exactly when one of its rows lies in the band; one band
+    # keeps the tables as they are, and no rows make no band
+    monkeypatch.setattr(kernels, "_BAND", 7)
+    tables = search.condition_tables(40)
+    bands = kernels.density_bands(u_lo, u_hi, tables)
+    assert [(lo, hi) for lo, hi, _ in bands] == [
+        (lo, min(lo + 6, u_hi)) for lo in range(u_lo, u_hi + 1, 7)
+    ]
+    for lo, hi, band in bands:
+        meets = {
+            p: [(u0, v0) for u0, v0 in pairs if p < 7 or (u0 - lo) % p <= hi - lo]
+            for p, pairs in tables.items()
+        }
+        if len(bands) == 1:
+            assert band is tables
+        else:
+            assert band == {p: pairs for p, pairs in meets.items() if p < 7 or pairs}
+
+
 def test_density_count_holds_one_band():
     """The count marks one reused band of ``_BAND`` rows, not the box: the
-    whole box at B = 1000 would be ~3.8 MiB of bools, a band ~0.5 MiB."""
+    whole box at B = 1000 would be ~3.8 MiB of bools, a band ~0.25 MiB."""
     tables = search.condition_tables(1000)
     tracemalloc.start()
     try:
