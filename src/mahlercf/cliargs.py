@@ -46,7 +46,8 @@ MAX_BLOCKS = (MAX_HORIZON - 9) // 9
 MAX_DEPTH = 64 * 206
 
 # Largest `--primes-max` of `check` and `density`: condition_tables(10**6)
-# already takes ~14 s and holds 784140 pairs, and the sieve grows with it.
+# already takes 4.6-5.0 s in-process and holds 784140 pairs (2-core box,
+# Python 3.11), and the sieve grows with it.
 MAX_PRIMES_MAX = 10**6
 
 # Largest coverage box, in cells: B <= 4999. It bounds time, not memory:
@@ -66,8 +67,8 @@ MAX_DENSITY_CELLS = 10**8
 MAX_SCAN_PRIME = 170
 
 # Largest `--jobs` of `scan` and `density`, forked workers. No more workers
-# than tasks start: a scan has one per prime (at most 38), a count one per
-# band of 128 rows and one for row 0 (at most 41).
+# than tasks start: a scan has one per prime (at most 38), a count one for
+# row 0 and at most `jobs` slabs of the rows 1..B (at most jobs + 1).
 MAX_JOBS = 64
 
 

@@ -14,11 +14,12 @@ over the rows u >= 0 of the box, which mirror the rows u < 0.
 
 With ``jobs`` >= 2, ``scan_range`` and ``density`` hand their work to that
 many forked workers (``workers``): a task is one prime, largest first, or
-one band of ``kernels.density_bands`` or row 0 of the box, over condition
-tables built before the fork. A worker files the pairs into bands once,
-at its first band, so the caller holds no more than a serial count does.
-The results are the serial ones; without ``jobs`` every scan and count
-runs serially, in-process.
+one slab of rows of the box, over condition tables built before the fork.
+The slabs are row 0, then the rows 1..B cut into at most ``jobs``
+consecutive slabs, and each is the serial ``kernels.density_count`` call;
+a serial count is the same list with one slab of rows 1..B. The results
+are the serial ones; without ``jobs`` every scan and count runs
+serially, in-process.
 """
 
 from __future__ import annotations
@@ -132,22 +133,12 @@ def density(bound: int, prime_max: int, jobs: int = 1) -> DensityReport:
         raise ValueError("bound must be >= 0")
     tables = condition_tables(prime_max)
     if jobs < 2:
-        half = kernels.density_count(1, bound, bound, tables)
-        covered = 2 * half + kernels.density_count(0, 0, bound, tables)
+        counts = [kernels.density_count(lo, hi, bound, tables) for lo, hi in [(0, 0), (1, bound)]]
     else:
         from . import workers
 
-        bands = []  # each worker files the pairs once, at its first band
-
-        def count(k):
-            if k is None:  # row 0
-                return kernels.density_count(0, 0, bound, tables)
-            if not bands:
-                bands.extend(kernels.density_bands(1, bound, tables))
-            u_lo, u_hi, band_tables = bands[k]
-            return kernels.density_count(u_lo, u_hi, bound, band_tables)
-
-        rows = range(1, bound + 1, kernels._BAND)
-        counts = workers.run(count, [*range(len(rows)), None], jobs)
-        covered = 2 * sum(counts[:-1]) + counts[-1]
+        n = min(jobs, bound)
+        slabs = [(0, 0)] + [(1 + k * bound // n, (k + 1) * bound // n) for k in range(n)]
+        counts = workers.run(lambda slab: kernels.density_count(*slab, bound, tables), slabs, jobs)
+    covered = 2 * sum(counts) - counts[0]
     return DensityReport(bound, prime_max, (2 * bound + 1) ** 2, covered)

@@ -34,7 +34,8 @@ import signal
 # Task numbers are 4-byte records, all written before the first fork, so
 # the task pipe holds every one of them: 1024 records fill one page, the
 # smallest pipe buffer Linux makes. A scan has at most 38 tasks (the odd
-# primes <= cli.MAX_SCAN_PRIME) and a density count at most 41.
+# primes <= cliargs.MAX_SCAN_PRIME) and a density count at most jobs + 1
+# (row 0 and a slab of rows per worker), so 65 at cliargs.MAX_JOBS.
 MAX_TASKS = 1024
 
 

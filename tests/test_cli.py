@@ -609,12 +609,17 @@ def test_primes_max_above_limit_is_usage_error(monkeypatch, capsys, command):
     ["density", "-B", "2"],
     ["density", "-B", "5"],
     ["density", "-B", "30"],
+    ["density", "-B", "129"],
+    ["density", "-B", "300"],
 ], ids=["scan-json", "scan-csv", "scan-json-N1", "scan-csv-N1", "scan-no-prime",
-        "scan-one-prime", "density-B0", "density-B1", "density-B2", "density-B5", "density-B30"])
+        "scan-one-prime", "density-B0", "density-B1", "density-B2", "density-B5", "density-B30",
+        "density-B129", "density-B300"])
 def test_outputs_do_not_change_with_the_worker_count(capsys, argv):
     # --jobs 2 and 3 fork that many workers, or one per task if there are
-    # fewer (one prime, or at B = 0 row 0 alone); row 0 is its own task,
-    # counted once, and the rows 1..B twice
+    # fewer (one prime, or at B = 0 row 0 alone). A count's tasks are row
+    # 0, counted once, and at most N slabs of the rows 1..B, counted
+    # twice; at B = 300 and --jobs 2 each slab of 150 rows spans two
+    # 128-row bands of kernels.density_count and ends inside the second
     serial = run_cli(capsys, *argv)
     assert serial[0] == EXIT_OK
     for jobs in ("1", "2", "3"):

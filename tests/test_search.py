@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mahlercf import workers
 from mahlercf.conditions import check_pair, satisfying_pairs
 from mahlercf.recurrence import first_beta_zero
 from mahlercf.search import condition_tables, density, scan_prime, scan_range
@@ -92,6 +93,26 @@ class TestDensity:
     def test_pinned_counts(self, bound, covered):
         # 4999 is the largest bound the CLI admits (cli.MAX_DENSITY_CELLS)
         assert density(bound, 1000).covered == covered
+
+    @pytest.mark.parametrize("jobs", [2, 3, 64])
+    @pytest.mark.parametrize("bound", [0, 1, 2, 5, 128, 129, 1000])
+    def test_forked_count_is_the_serial_count_on_slabs(self, monkeypatch, bound, jobs):
+        # workers.run is stubbed, so no process starts: it records the
+        # slabs it is handed and counts them in-process
+        handed = []
+
+        def run(task, items, n):
+            assert n == jobs
+            handed.extend(items)
+            return [task(slab) for slab in items]
+
+        monkeypatch.setattr(workers, "run", run)
+        assert density(bound, 200, jobs) == density(bound, 200)
+        assert handed[0] == (0, 0) and handed.count((0, 0)) == 1
+        slabs = handed[1:]
+        assert len(slabs) <= jobs
+        assert all(lo <= hi for lo, hi in slabs)
+        assert [u for lo, hi in slabs for u in range(lo, hi + 1)] == list(range(1, bound + 1))
 
     def test_tables_are_closed_under_negating_u(self):
         # density counts the rows u >= 0 and doubles the rows u > 0
