@@ -54,8 +54,8 @@ MAX_PRIMES_MAX = 10**6
 # `density` counts the box one band of 128 rows at a time, and a fresh
 # `density -B 4999 --primes-max 1000` takes ~0.3 s at ~31 MB peak RSS
 # (2-core box, Python 3.11). At --primes-max 10**6, 784140 condition
-# pairs, the count at B = 4999 takes ~0.3-0.4 s in-process after ~5 s of
-# building the tables.
+# pairs, the count at B = 4999 takes ~0.27-0.35 s in-process after ~5 s
+# of building the tables.
 MAX_DENSITY_CELLS = 10**8
 
 # Largest `scan --p-max`: every prime keeps its p x p grid and its survivor

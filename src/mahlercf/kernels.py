@@ -29,11 +29,10 @@ in linear time. Three drivers call it:
 
 The coverage count marks each condition pair's lattice with strided
 slices in one boolean band of ``_BAND`` rows, reused down the box, so it
-holds O(B) cells, not the (2B + 1)^2 of the box. ``density_bands`` files
-a pair of a prime of ``_BAND`` or more under the bands its rows meet, so
-the count visits it once, not once per band. numpy is imported only
-inside the two kernels that use arrays, ``scan_grid`` and
-``density_count``; importing this module loads none.
+holds O(B) cells, not the (2B + 1)^2 of the box. One pass files each
+pair under the bands its rows meet, so a count walks each pair list
+once. numpy is imported only inside the two kernels that use arrays,
+``scan_grid`` and ``density_count``; importing this module loads none.
 
 A scan runs half of F_p^2, since every beta_i is even in u and every
 alpha_i odd. The seeds are, and each block step keeps it: beta_{3k+4} and
@@ -90,8 +89,8 @@ _INVERSES: dict[int, list] = {}
 
 # Rows of the box ``density_count`` marks at a time, in one reused boolean
 # band of _BAND x (2B + 1) cells (1.3 MB at the largest admitted B = 4999).
-# Each band tests the pairs of the primes below _BAND, so fewer rows cost
-# time; more rows cost memory, and the band sets the peak of the
+# A pair of a prime below _BAND has a row in every band, so fewer rows
+# cost time; more rows cost memory, and the band sets the peak of the
 # benchmark's grid run (B = 1000, primes <= 1000). Against 256 rows, 128
 # took the count from ~3.9 to ~4.5 ms and that peak from ~35.05 to ~34.55
 # MB RSS; 256 rows had peaked at 35.44 MB with 512 and 38.32 with the box.
@@ -368,51 +367,34 @@ def scan_grid(p: int, n: int, known=()) -> numpy.ndarray:
     return first
 
 
-def density_bands(u_lo: int, u_hi: int, tables: dict) -> list:
-    """The slab u_lo..u_hi as bands of ``_BAND`` rows: (first row, last
-    row, the tables that can mark the band) for each, in order.
-
-    ``tables`` maps each prime p to its condition pairs (u0, v0) in F_p^2.
-    A band keeps every pair of a prime below ``_BAND``. A pair of a larger
-    prime has at most one row in a band, and most have none, so one pass
-    files it under the bands its rows meet: a count visits it once, not
-    once per band. A slab of one band keeps ``tables`` as it is.
-    """
-    tops = range(u_lo, u_hi + 1, _BAND)
-    filed = [tables] * len(tops)
-    if len(tops) > 1:
-        small = {p: pairs for p, pairs in tables.items() if p < _BAND}
-        filed = [dict(small) for _ in tops]
-        rows = u_hi - u_lo + 1
-        for p, pairs in tables.items():
-            for u0, v0 in pairs if p >= _BAND else ():
-                for row in range((u0 - u_lo) % p, rows, p):
-                    filed[row // _BAND].setdefault(p, []).append((u0, v0))
-    return [(top, min(top + _BAND - 1, u_hi), band) for top, band in zip(tops, filed)]
-
-
 def density_count(u_lo: int, u_hi: int, b: int, tables: dict) -> int:
     """Count covered integer pairs with u in [u_lo, u_hi], v in [-b, b].
 
     ``tables`` maps each prime p to its condition pairs (u0, v0) in F_p^2;
     an integer pair is covered when it reduces to one of them for some p.
-    The slab is counted a band of ``density_bands`` at a time in one
-    reused grid: each residue pair of the band's tables marks its lattice
-    in the band by one strided slice, and a pair whose first row lies past
-    the band costs a comparison and no slice.
+    One pass over the tables files each pair under every band of ``_BAND``
+    rows that its rows meet, as three flat entries (its first row in the
+    band, v0, p; a tuple each would hold ~3x the memory), and jumps to its
+    first row in the next band. The bands are then marked in order in one
+    reused grid, each filed pair by one strided slice, and counted.
     """
     import numpy as np
 
-    band = np.empty((min(_BAND, u_hi - u_lo + 1), 2 * b + 1), dtype=bool)
+    rows = u_hi - u_lo + 1
+    filed = [[] for _ in range(0, rows, _BAND)]
+    for p, pairs in tables.items():
+        for u0, v0 in pairs:
+            row = (u0 - u_lo) % p
+            while row < rows:
+                filed[row // _BAND] += row % _BAND, v0, p
+                row += (_BAND - row % _BAND + p - 1) // p * p
+    band = np.empty((min(_BAND, rows), 2 * b + 1), dtype=bool)
     covered = 0
-    for start, stop, band_tables in density_bands(u_lo, u_hi, tables):
-        grid = band[: stop - start + 1]
+    for top, marks in zip(range(0, rows, _BAND), filed):
+        grid = band[: rows - top]
         grid[:] = False
-        height = len(grid)
-        for p, pairs in band_tables.items():
-            for u0, v0 in pairs:
-                first = (u0 - start) % p
-                if first < height:
-                    grid[first::p, (v0 + b) % p :: p] = True
+        marks = iter(marks)
+        for first, v0, p in zip(marks, marks, marks):
+            grid[first::p, (v0 + b) % p :: p] = True
         covered += int(np.count_nonzero(grid))
     return covered

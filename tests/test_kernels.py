@@ -476,36 +476,36 @@ def test_density_count_matches_membership_probe():
         assert kernels.density_count(u_lo, u_hi, 45, tables) == _probed_count(u_lo, u_hi, 45, tables)
 
 
-@pytest.mark.parametrize("u_lo, u_hi", [(-61, 16), (17, 59), (3, 9), (5, 5), (-8, 13)])
+@pytest.mark.parametrize("u_lo, u_hi", [(-61, 16), (17, 59), (3, 9), (5, 5), (-8, 13), (5, 4)])
 def test_density_count_across_bands(monkeypatch, u_lo, u_hi):
     # with 7-row bands the slabs of 78, 43 and 22 rows end in a partial
-    # band, (3, 9) fills exactly one and (5, 5) is one row; a pair of a
-    # prime above 7 marks some bands and is skipped in the others
+    # band, (3, 9) fills exactly one, (5, 5) is one row and (5, 4) is
+    # empty, as the serial count's slab (1, 0) at B = 0, and counts 0; a
+    # pair of a prime above 7 marks some bands and is filed under no other
     monkeypatch.setattr(kernels, "_BAND", 7)
     tables = search.condition_tables(40)
     assert kernels.density_count(u_lo, u_hi, 30, tables) == _probed_count(u_lo, u_hi, 30, tables)
 
 
-@pytest.mark.parametrize("u_lo, u_hi", [(-61, 16), (3, 9), (5, 4)])
-def test_density_bands_file_each_large_pair_where_it_marks(monkeypatch, u_lo, u_hi):
-    # with 7-row bands: a band keeps every pair of 3 and 5, and a pair of a
-    # prime above 7 exactly when one of its rows lies in the band; one band
-    # keeps the tables as they are, and no rows make no band
+class _WalkCountingList(list):
+    """A pair list that counts the walks over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_density_count_walks_each_pair_list_once(monkeypatch):
+    # with 7-row bands the slab (-61, 16) spans 12 bands, and each pair list
+    # is still walked once: a pair is filed under the bands its rows meet
     monkeypatch.setattr(kernels, "_BAND", 7)
     tables = search.condition_tables(40)
-    bands = kernels.density_bands(u_lo, u_hi, tables)
-    assert [(lo, hi) for lo, hi, _ in bands] == [
-        (lo, min(lo + 6, u_hi)) for lo in range(u_lo, u_hi + 1, 7)
-    ]
-    for lo, hi, band in bands:
-        meets = {
-            p: [(u0, v0) for u0, v0 in pairs if p < 7 or (u0 - lo) % p <= hi - lo]
-            for p, pairs in tables.items()
-        }
-        if len(bands) == 1:
-            assert band is tables
-        else:
-            assert band == {p: pairs for p, pairs in meets.items() if p < 7 or pairs}
+    expected = _probed_count(-61, 16, 30, tables)
+    walked = {p: _WalkCountingList(pairs) for p, pairs in tables.items()}
+    assert kernels.density_count(-61, 16, 30, walked) == expected
+    assert all(pairs.walks <= 1 for pairs in walked.values())
 
 
 def test_density_count_holds_one_band():
