@@ -367,19 +367,14 @@ def scan_grid(p: int, n: int, known=()) -> numpy.ndarray:
     return first
 
 
-def density_count(u_lo: int, u_hi: int, b: int, tables: dict) -> int:
-    """Count covered integer pairs with u in [u_lo, u_hi], v in [-b, b].
+def _file_bands(u_lo: int, u_hi: int, tables: dict) -> list:
+    """File each condition pair under every band of ``_BAND`` rows of the
+    slab u in [u_lo, u_hi] that its rows meet.
 
-    ``tables`` maps each prime p to its condition pairs (u0, v0) in F_p^2;
-    an integer pair is covered when it reduces to one of them for some p.
-    One pass over the tables files each pair under every band of ``_BAND``
-    rows that its rows meet, as three flat entries (its first row in the
-    band, v0, p; a tuple each would hold ~3x the memory), and jumps to its
-    first row in the next band. The bands are then marked in order in one
-    reused grid, each filed pair by one strided slice, and counted.
+    One pass over the tables files a pair as three flat entries of the
+    band's list (its first row in the band, v0, p; a tuple each would hold
+    ~3x the memory), and jumps to its first row in the next band.
     """
-    import numpy as np
-
     rows = u_hi - u_lo + 1
     filed = [[] for _ in range(0, rows, _BAND)]
     for p, pairs in tables.items():
@@ -388,6 +383,22 @@ def density_count(u_lo: int, u_hi: int, b: int, tables: dict) -> int:
             while row < rows:
                 filed[row // _BAND] += row % _BAND, v0, p
                 row += (_BAND - row % _BAND + p - 1) // p * p
+    return filed
+
+
+def density_count(u_lo: int, u_hi: int, b: int, tables: dict) -> int:
+    """Count covered integer pairs with u in [u_lo, u_hi], v in [-b, b].
+
+    ``tables`` maps each prime p to its condition pairs (u0, v0) in F_p^2;
+    an integer pair is covered when it reduces to one of them for some p.
+    The pairs are filed under the bands of ``_BAND`` rows they meet
+    (``_file_bands``); the bands are then marked in order in one reused
+    grid, each filed pair by one strided slice, and counted.
+    """
+    import numpy as np
+
+    rows = u_hi - u_lo + 1
+    filed = _file_bands(u_lo, u_hi, tables)
     band = np.empty((min(_BAND, rows), 2 * b + 1), dtype=bool)
     covered = 0
     for top, marks in zip(range(0, rows, _BAND), filed):

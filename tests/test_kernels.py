@@ -487,6 +487,28 @@ def test_density_count_across_bands(monkeypatch, u_lo, u_hi):
     assert kernels.density_count(u_lo, u_hi, 30, tables) == _probed_count(u_lo, u_hi, 30, tables)
 
 
+@pytest.mark.parametrize("u_lo, u_hi", [(-61, 16), (3, 9), (5, 4)])
+def test_density_bands_file_each_large_pair_where_it_marks(monkeypatch, u_lo, u_hi):
+    # with 7-row bands a pair of any prime, 3 and 5 as well as those above
+    # 7, is filed under a band exactly when one of its rows lies in it, at
+    # its first such row; (3, 9) makes one band and no rows make no band
+    monkeypatch.setattr(kernels, "_BAND", 7)
+    tables = search.condition_tables(40)
+    rows = u_hi - u_lo + 1
+    filed = kernels._file_bands(u_lo, u_hi, tables)
+    assert len(filed) == len(range(0, rows, 7))
+    for top, marks in zip(range(0, rows, 7), filed):
+        height = min(7, rows - top)
+        expected = sorted(
+            ((u0 - u_lo - top) % p, v0, p)
+            for p, pairs in tables.items()
+            for u0, v0 in pairs
+            if (u0 - u_lo - top) % p < height
+        )
+        marks = iter(marks)
+        assert sorted(zip(marks, marks, marks)) == expected
+
+
 class _WalkCountingList(list):
     """A pair list that counts the walks over it."""
 
