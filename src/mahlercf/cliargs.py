@@ -29,8 +29,8 @@ EXIT_USAGE = 64
 # a fresh process, the document written as it is encoded). A scan keeps no
 # history: other pairs die near 2p on average, most in its memo-free probe
 # to index 729, and each survivor reaches the horizon in O(log n) memo
-# lookups (`scan --p-min 3 --p-max 30 -N 10**6` takes ~0.4 s, 0.34-0.43 s
-# in a fresh process).
+# lookups (`scan --p-min 3 --p-max 30 -N 10**6` takes ~0.2 s, 0.18-0.26 s
+# in a fresh process, 2-core box, Python 3.11).
 MAX_HORIZON = 10**6
 
 # Largest `verify-lemma -K`: a run keeps its history to index 9K+9.

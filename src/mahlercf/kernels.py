@@ -5,10 +5,11 @@ One engine: every run, over Q or mod p, alone or in a scan, steps its
 blocks through one routine, ``_blocks``: mod p on Python ints, which
 cannot overflow, over Q on Fractions with the modulus ``Q``, for which
 reducing is the identity and an inverse is 1/x. A block inverts once
-(Montgomery's simultaneous inversion), mod a prime below ``_TABLE_BOUND``
-by a lookup in a table of inverses built once per prime. ``_blocks``
-appends to the lists it is given, so one call steps any number of blocks
-in linear time. Three drivers call it:
+(Montgomery's simultaneous inversion) and reads the inverse as ``inv[x]``:
+mod a prime below ``_TABLE_BOUND`` from a list of inverses built once per
+prime, above it by pow, over Q from ``Q`` itself. ``_blocks`` appends to
+the lists it is given, so one call steps any number of blocks in linear
+time. Three drivers call it:
 
 - ``run_history`` keeps the history that runs over Q, ``RecurrenceRun``
   and the lemma checks read, memoises units of nine indices for one call,
@@ -22,10 +23,11 @@ in linear time. Three drivers call it:
   (median 4) and a median of 4 items on each level above, so a survivor
   costs O(log N) lookups, not N / 9;
 - ``scan_grid`` first runs each pair memo-free to index 729 = 3^6 (or
-  its horizon, if lower), in one ``_blocks`` call. Nearly every pair of
-  a scan dies there (mean death index ~2p), and a memo would cost it a
-  key, a lookup and a store per unit that never repeats. The prime's
-  condition pairs, which survive, go straight to ``first_zero``.
+  its horizon, if lower): ``_start`` steps it from the seeds in one
+  ``_blocks`` call. Nearly every pair of a scan dies there (mean death
+  index ~2p), and a memo would cost it a key, a lookup and a store per
+  unit that never repeats. The prime's condition pairs, which survive, go
+  straight to ``first_zero``.
 
 The coverage count marks each condition pair's lattice with strided
 slices in one boolean band of ``_BAND`` rows, reused down the box, so it
@@ -45,6 +47,7 @@ same index.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -52,13 +55,16 @@ if TYPE_CHECKING:
 
 
 class _Rationals:
-    """The modulus of a run over Q: ``x % Q`` is x itself, and a run over Q
-    inverts by 1/x, so ``run_history`` needs no second loop."""
+    """The modulus of a run over Q and its inverses: ``x % Q`` is x itself
+    and ``Q[x]`` is 1/x, so ``run_history`` needs no second loop."""
 
     __slots__ = ()
 
     def __rmod__(self, x):
         return x
+
+    def __getitem__(self, x):
+        return 1 / x
 
 
 Q = _Rationals()
@@ -97,33 +103,45 @@ _INVERSES: dict[int, list] = {}
 _BAND = 128
 
 
+class _Pow(int):
+    """A prime p whose ``[x]`` is the inverse of x mod p, by pow."""
+
+    def __getitem__(self, x):
+        return pow(x, -1, self)
+
+
 def _inverse(p):
-    """The inversion of a run mod p, or over ``Q``."""
+    """The inverses of a run mod p, or over ``Q``, read as ``inv[x]``: below
+    ``_TABLE_BOUND`` the table itself, so a lookup calls no method."""
     if p is Q:
-        return lambda x: 1 / x
+        return Q
     if p >= _TABLE_BOUND:
-        return lambda x: pow(x, -1, p)
+        return _Pow(p)
     table = _INVERSES.get(p)
     if table is None:  # slot 0 is None: a zero divisor raises, as pow does
         table = _INVERSES.setdefault(p, [None, *(pow(x, -1, p) for x in range(1, p))])
-    return table.__getitem__
+    return table
 
 
 def _field(u, v, p):
-    """The constants of a run: (u, v, u^2 - v, uv, -u, p, inverse), u and v
-    reduced."""
+    """The constants of a run: (u, v, u^2 - v, uv, -u, p, inverses), u and v
+    reduced, over ``Q`` lifted to Fractions, so that ints do not divide to
+    floats."""
+    if p is Q:
+        u, v = Fraction(u), Fraction(v)
     u %= p
     v %= p
     return u, v, (u * u - v) % p, u * v, -u % p, p, _inverse(p)
 
 
-def _start(u, v, p):
-    """The constants of a run and its indices to 9: the seeds, then blocks 0
-    and 1, which read seed slots 2 and 3.
+def _start(u, v, p, top=4):
+    """The constants of a run and its indices to 3 top - 3: the seeds, then
+    one ``_blocks`` call for the blocks that read slots 2..top-1. The
+    default, 4, steps blocks 0 and 1, which read the seed slots 2 and 3.
 
     Returns (field, alphas, betas, carry): field as ``_field`` makes it, and
-    the lists, indexed 1.. (slot 0 unused), end at index 9 or at the first
-    zero beta, with carry None.
+    the lists, indexed 1.. (slot 0 unused), end at index 3 top - 3 or at
+    the first zero beta, with carry None.
     """
     field = u, v, c, _, neg_u, p, inv = _field(u, v, p)
     alphas = [0, neg_u]
@@ -131,13 +149,13 @@ def _start(u, v, p):
     if c == 0:
         return field, alphas, betas, None
     # alpha_3 and beta_3 by the block's tail rules (``recurrence`` docstring)
-    a2 = u * (u * u + 1 - 2 * v) * inv(c) % p
+    a2 = u * (u * u + 1 - 2 * v) * inv[c] % p
     alphas += (a2, (u - a2) % p)
     betas.append((v - a2 * alphas[3]) % p)
     if betas[3] == 0:
         return field, alphas, betas, None
     hist = alphas, betas
-    return field, alphas, betas, _blocks(hist, 2, 4, (a2, c, betas[3]), field, hist)
+    return field, alphas, betas, _blocks(hist, 2, top, (a2, c, betas[3]), field, hist)
 
 
 def _blocks(slots, lo, hi, carry, field, out):
@@ -171,7 +189,7 @@ def _blocks(slots, lo, hi, carry, field, out):
             alphas.append(neg_u)
             betas += (c, e)
             return None
-        t = inv(d * e % p)
+        t = inv[d * e % p]
         # e t = 1/d and d t = 1/e first: over Q they are the small products
         b4 = slot_b * (e * t) % p
         # the next carry: alpha_{3k+5}, beta_{3k+5}, beta_{3k+6}
@@ -230,7 +248,7 @@ def run_history(u, v, p, n: int, history=None):
     hist = alphas, betas
     if carry is not None and len(betas) <= end:  # to the unit boundary
         last = len(betas) - 1
-        carry = _blocks(hist, last // 3 + 1, (last + (-last) % 9) // 3 + 1, carry, field, hist)
+        carry = _blocks(hist, last // 3 + 1, (last + 8) // 9 * 3 + 1, carry, field, hist)
     units = {}
     m = len(betas) // 9 - 1  # the parent block of the next unit
     while carry is not None and len(betas) <= end:
@@ -330,14 +348,10 @@ def first_zero(u: int, v: int, p: int, max_index: int) -> int:
 
 def _scan_pair(u, v, p, n):
     """``first_zero(u, v, p, n)``, first run memo-free to the block
-    boundary at or past min(n, ``_PROBE_INDEX``) by one ``_blocks`` call
-    from slot 4, which block 2 reads. Only a pair alive at 729 goes on to
+    boundary at or past min(n, ``_PROBE_INDEX``) by ``_start``, in one
+    ``_blocks`` call from the seeds. Only a pair alive at 729 goes on to
     ``first_zero``, from index 1."""
-    field, alphas, betas, carry = _start(u, v, p)
-    if carry is not None:
-        top = min(n, _PROBE_INDEX)
-        hist = alphas, betas
-        carry = _blocks(hist, 4, (top + (-top) % 3) // 3 + 1, carry, field, hist)
+    _, _, betas, carry = _start(u, v, p, (min(n, _PROBE_INDEX) + 5) // 3)
     if carry is None:
         index = len(betas) - 1
         return index if index <= n else 0

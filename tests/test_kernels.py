@@ -9,8 +9,9 @@ large p, the history-free ``first_zero`` against the history's first zero
 survivors to 10^6, and in traced memory), per-pair runs at every u for
 the scan (which runs half the rows and mirrors them across u -> -u, each
 pair memo-free to index 729 before first_zero, so the horizons fall on
-both sides of that hand-off), runs on both sides of the bound of the
-inverse tables, resumed runs against whole ones, the parity in u that the
+both sides of that hand-off, in one block call per probed pair), runs and
+inverses on both sides of the bound of the inverse tables, int inputs
+lifted over Q, resumed runs against whole ones, the parity in u that the
 mirror rests on, and a direct membership probe for the coverage count."""
 
 import contextlib
@@ -35,8 +36,11 @@ def reference_run_history(u, v, p, n):
     ``1 / x`` over ``kernels.Q``), no memo, with a check before every
     division and on every beta, so the differential tests show that the
     kernel's unchecked steps never needed one (a zero divisor returns the
-    index negated, which the kernel never does)."""
+    index negated, which the kernel never does). Over Q, int inputs are
+    lifted to Fractions, as the kernel lifts them."""
     inv = (lambda x: 1 / x) if p is kernels.Q else (lambda x: pow(x, -1, p))
+    if p is kernels.Q:
+        u, v = Fraction(u), Fraction(v)
     u %= p
     v %= p
     alphas = [0, -u % p]
@@ -197,6 +201,26 @@ def test_run_over_q_matches_reference():
         assert got == reference_run_history(u, v, kernels.Q, n), (u, v, n)
         deaths.add(got[2])
     assert {0, 2, 3, 6} <= deaths
+
+
+def test_runs_over_q_lift_int_inputs():
+    # ints over Q would divide to floats (alpha_5 of (2, 3) read
+    # -2.5999999999999996, not -13/5): every entry but the constant
+    # beta_1 = 1 is a Fraction
+    alphas, betas, fail = kernels.run_history(2, 3, kernels.Q, 30)
+    want = run_over_q(2, 3, 30)
+    assert fail == 0 and want.ok
+    assert alphas[1:] == list(want.alphas) and betas[1:] == list(want.betas)
+    assert all(type(x) is Fraction for x in alphas[1:] + betas[2:])
+    assert kernels.first_zero(2, 1, kernels.Q, 100) == 6
+
+
+@pytest.mark.parametrize("p", [3, 1021, 1031])
+def test_inverses_read_by_subscript(p):
+    # a list below _TABLE_BOUND, pow at and above it
+    inv = kernels._inverse(p)
+    assert all(x * inv[x] % p == 1 for x in range(1, p))
+    assert kernels._inverse(kernels.Q)[Fraction(-3, 7)] == Fraction(-7, 3)
 
 
 def test_run_at_a_large_prime_holds_little_beyond_its_history():
@@ -456,6 +480,25 @@ def test_scan_grid_runs_known_pairs_straight_to_first_zero(monkeypatch, n):
     assert grid.tolist() == _per_pair_grid(19, n)
     assert known and not known & set(probed)
     assert len(probed) + sum(u <= 9 for u, _ in known) == 10 * 19
+
+
+@pytest.mark.parametrize("n", [10, 729, 10_000])
+def test_scan_pair_steps_its_probe_in_one_block_call(monkeypatch, n):
+    # a pair whose seeds survive is probed from them in one _blocks call;
+    # first_zero, past the probe, is stubbed out of the count
+    calls, blocks = [], kernels._blocks
+    monkeypatch.setattr(kernels, "_blocks", lambda *a: calls.append(a) or blocks(*a))
+    monkeypatch.setattr(kernels, "first_zero", lambda u, v, p, n: 0)
+    probed = 0
+    for u in range(19):
+        for v in range(19):
+            if kernels.run_history(u, v, 19, 3)[2]:  # dies in the seeds
+                continue
+            calls.clear()
+            kernels._scan_pair(u, v, 19, n)
+            assert len(calls) == 1, (u, v)
+            probed += 1
+    assert probed > 300
 
 
 def _probed_count(u_lo, u_hi, b, tables):
